@@ -21,6 +21,8 @@ DISTS = {
     "laplace": (laplace_cf_second_derivative, lambda rng, n: rng.laplace(0.0, 1 / np.sqrt(2), n)),
     "logistic": (logistic_cf_second_derivative, lambda rng, n: rng.logistic(0.0, np.sqrt(3) / np.pi, n)),
 }
+# Fixed substream ids: str hashes are randomized per process.
+DISTS_ID = {"uniform": 0, "laplace": 1, "logistic": 2}
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
@@ -40,7 +42,7 @@ if __name__ == "__main__":
             hits = 0
             for i in range(args.reps):
                 rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=args.seed, spawn_key=(hash(name) % 2**32, n, i))
+                    np.random.SeedSequence(entropy=args.seed, spawn_key=(DISTS_ID[name], n, i))
                 )
                 est = delta_estimate(scaled_residuals(draw(rng, n)[:, None]), args.a)
                 ci = confidence_interval(est, args.alpha)

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,38 +31,6 @@ from .nulldist import (
 from .samplers import parse_spec
 from .standardize import load_csv, scaled_residuals
 from .statistic import t_statistic
-
-
-@dataclass(frozen=True)
-class TestReport:
-    """Result of one normality test run on a data file."""
-
-    statistic: float
-    scaled: float
-    n: int
-    d: int
-    a: float
-    alpha: float
-    replications: int
-    seed: int
-    p_value: float
-    critical_value: float
-    reject: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "scaled": self.scaled,
-            "n": self.n,
-            "d": self.d,
-            "a": self.a,
-            "alpha": self.alpha,
-            "replications": self.replications,
-            "seed": self.seed,
-            "p_value": self.p_value,
-            "critical_value": self.critical_value,
-            "reject": self.reject,
-        }
 
 
 def _progress(msg: str) -> None:
@@ -141,20 +108,21 @@ def cmd_test(args) -> int:
         )
         pval = (1.0 + float(np.sum(null >= stat.scaled))) / (args.reps + 1.0)
         crit = critical_value(null, args.alpha)
-        report = TestReport(
-            statistic=stat.value,
-            scaled=stat.scaled,
-            n=sample.n,
-            d=sample.d,
-            a=a,
-            alpha=args.alpha,
-            replications=args.reps,
-            seed=args.seed,
-            p_value=pval,
-            critical_value=crit,
-            reject=pval <= args.alpha,
+        rows.append(
+            {
+                "statistic": stat.value,
+                "scaled": stat.scaled,
+                "n": sample.n,
+                "d": sample.d,
+                "a": a,
+                "alpha": args.alpha,
+                "replications": args.reps,
+                "seed": args.seed,
+                "p_value": pval,
+                "critical_value": crit,
+                "reject": pval <= args.alpha,
+            }
         )
-        rows.append(report.to_dict())
     header = list(rows[0].keys())
     _emit(args, _render_rows(args.format, header, [[r[k] for k in header] for r in rows]))
     return 0
@@ -172,12 +140,15 @@ def cmd_crit_table(args) -> int:
         try:
             with open(args.output) as f:
                 prev = CriticalValueTable.from_json(f.read())
-            if prev.replications == args.reps and prev.seed == args.seed:
-                table.entries.update(prev.entries)
-                done = set(prev.entries)
-                _progress(f"resuming: {len(done)} cells already present")
-        except (OSError, ValueError, KeyError):
-            pass
+        except FileNotFoundError:
+            prev = None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            _progress(f"warning: cannot resume from {args.output} ({exc}); starting over")
+            prev = None
+        if prev is not None and prev.replications == args.reps and prev.seed == args.seed:
+            table.entries.update(prev.entries)
+            done = set(prev.entries)
+            _progress(f"resuming: {len(done)} cells already present")
     for d in args.d:
         for n in args.n:
             for a in args.a:

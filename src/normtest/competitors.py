@@ -21,12 +21,9 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from .standardize import StandardizedSample, as_data_matrix, scaled_residuals
-from .statistic import check_tuning, mardia_skewness, mrs_skewness
+from .statistic import _pairwise_sum, check_tuning, mardia_skewness, mrs_skewness
 
 KINDS = ("bhep", "hjg", "hv", "hv_inf", "bcmr", "be")
-
-# Candidate fixed tuning values for sweeps of the zero-bias statistic.
-BE_TUNING_GRID = (0.25, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,15 @@ def bhep(sample: StandardizedSample, a: float) -> float:
     y = sample.residuals
     n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
-    dsq = np.maximum(r[:, None] + r[None, :] - 2.0 * (y @ y.T), 0.0)
-    term1 = float(np.mean(np.exp(-0.5 * a * a * dsq)))
+
+    def kernel(g, rj, rk):
+        g *= -2.0
+        g += rj[:, None] + rk[None, :]  # ||Y_j - Y_k||^2
+        np.maximum(g, 0.0, out=g)
+        g *= -0.5 * a * a
+        return np.exp(g, out=g)
+
+    term1 = _pairwise_sum(y, r, kernel) / n**2
     term2 = (
         2.0
         * (1.0 + a * a) ** (-d / 2.0)
@@ -89,8 +93,14 @@ def hjg(sample: StandardizedSample, beta: float) -> float:
     y = sample.residuals
     n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
-    ssq = r[:, None] + r[None, :] + 2.0 * (y @ y.T)  # ||Y_j + Y_k||^2
-    term1 = float(np.sum(np.exp(ssq / (4.0 * beta)))) / (n * beta ** (d / 2.0))
+
+    def kernel(g, rj, rk):
+        g *= 2.0
+        g += rj[:, None] + rk[None, :]  # ||Y_j + Y_k||^2
+        g /= 4.0 * beta
+        return np.exp(g, out=g)
+
+    term1 = _pairwise_sum(y, r, kernel) / (n * beta ** (d / 2.0))
     term2 = 2.0 * (beta - 0.5) ** (-d / 2.0) * float(np.sum(np.exp(r / (4.0 * beta - 2.0))))
     term3 = n * (beta - 1.0) ** (-d / 2.0)
     return term1 - term2 + term3
@@ -103,10 +113,18 @@ def hv(sample: StandardizedSample, gamma: float) -> float:
     y = sample.residuals
     n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
-    g = y @ y.T
-    ssq = r[:, None] + r[None, :] + 2.0 * g
-    inner = g + ssq * (1.0 / (4.0 * gamma * gamma) - 1.0 / (2.0 * gamma)) + d / (2.0 * gamma)
-    return (np.pi / gamma) ** (d / 2.0) / n * float(np.sum(np.exp(ssq / (4.0 * gamma)) * inner))
+
+    def kernel(g, rj, rk):
+        ssq = rj[:, None] + rk[None, :]
+        ssq += 2.0 * g  # ||Y_j + Y_k||^2
+        g += ssq * (1.0 / (4.0 * gamma * gamma) - 1.0 / (2.0 * gamma))
+        g += d / (2.0 * gamma)
+        ssq /= 4.0 * gamma
+        np.exp(ssq, out=ssq)
+        ssq *= g
+        return ssq
+
+    return (np.pi / gamma) ** (d / 2.0) / n * _pairwise_sum(y, r, kernel)
 
 
 def hv_inf(sample: StandardizedSample) -> float:

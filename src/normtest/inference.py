@@ -17,7 +17,6 @@ serves as the independent oracle (d <= 2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from scipy.special import ndtri
 
 from .quadrature import QuadratureSpec, UnsupportedDimension
 from .standardize import StandardizedSample
-from .statistic import check_tuning
+from .statistic import _gauss_kernel, _pairwise_apply, check_tuning
 
 
 def m_func(t, d: int) -> np.ndarray | float:
@@ -164,31 +163,31 @@ class PAggregates:
 
 
 def p_aggregates(sample: StandardizedSample, a: float) -> PAggregates:
-    """All q/p aggregates in O(n^2 d) via the shared pairwise Gaussian matrix."""
+    """All q/p aggregates in O(n^2 d) time and O(block^2 + nd) memory.
+
+    The only pairwise pass is E @ [r, r Y] with E[j, k] = exp(-||Y_j - Y_k||^2/(4a));
+    sum_l (Y_k . Y_l)^2 p_l factorizes as Y_k^T (Y^T diag(p) Y) Y_k.
+    """
     a = check_tuning(a)
     y = sample.residuals
     n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
-    g = y @ y.T
-    e = (2.0 * g - r[:, None] - r[None, :]) / (4.0 * a)
-    np.fill_diagonal(e, 0.0)  # exact self-distance
-    np.exp(e, out=e)
+    er = _pairwise_apply(y, r, _gauss_kernel(a), np.column_stack([r, r[:, None] * y])) / n
+    sum_re, sum_re_y = er[:, 0], er[:, 1:]
     cp1 = (np.pi / a) ** (d / 2.0)
     q1v = np.asarray(q1(y, a))
     q2v = np.asarray(q2(y, a))
 
     # P^{1,a,3}(Y_k) = (1/n) sum_l r_l p1(Y_k, Y_l) - q1(Y_k)
-    p13 = cp1 * (e @ r) / n - q1v
+    p13 = cp1 * sum_re - q1v
     p1a1 = float(np.mean(r * p13))
     p1a1_tilde = (y.T @ (r * p13)) / n
     p1a2_tilde = (y.T @ p13) / n
     p1a_bar = (y.T * (r * p13)) @ y / n
-    p12 = (g**2 @ p13) / n
+    p12 = np.einsum("kp,pq,kq->k", y, (y.T * p13) @ y, y) / n
 
     # w_l = (1/n) sum_m r_m p2(Y_m, Y_l) - q2(Y_l); p2's first argument is the
     # index carrying the r_m weight of the centred projection.
-    sum_re_y = ((e * r[:, None]).T @ y) / n
-    sum_re = (e @ r) / n
     w = cp1 / (2.0 * a) * (sum_re_y - sum_re[:, None] * y) - q2v
     p2a_tilde = (w.T @ r) / n
     ydotw = np.einsum("ij,ij->i", y, w)
@@ -445,9 +444,3 @@ def logistic_cf_second_derivative(t: float) -> float:
     num = 12.0 * (3.0 * u * em3 - em1 + em5 + 0.5 * u * (em1 + em5))
     return num / (1.0 - np.exp(-2.0 * u)) ** 3
 
-
-def report_json(est: DeltaEstimate, ci: ConfidenceInterval | None = None) -> str:
-    obj = {"estimate": est.to_dict()}
-    if ci is not None:
-        obj["confidence_interval"] = ci.to_dict()
-    return json.dumps(obj, indent=2, sort_keys=True)

@@ -80,8 +80,9 @@ def map_replications(
     """Evaluate ``fn(rng, *args)`` over derived substreams 0..replications-1.
 
     ``fn`` must be a picklable module-level callable returning a float.
-    With ``checkpoint`` set, the completed prefix is persisted every
-    :data:`CHECKPOINT_EVERY` replications and reused on rerun when
+    With ``checkpoint`` set, the completed prefix is persisted whenever it
+    crosses a multiple of :data:`CHECKPOINT_EVERY` replications and at the
+    end, and reused on rerun when
     ``checkpoint_meta`` (a description of the run parameters) matches.
     """
     if replications < 1:
@@ -104,23 +105,25 @@ def map_replications(
     chunk = min(CHECKPOINT_EVERY, max(64, (replications - start) // (8 * nworkers) or 64))
     ranges = [(lo, min(lo + chunk, replications)) for lo in range(start, replications, chunk)]
 
-    def note_progress(done_hi: int) -> None:
+    def note_progress(lo: int, hi: int) -> None:
         if progress:
-            print(f"\r{done_hi}/{replications} replications", end="", file=sys.stderr, flush=True)
-        if checkpoint is not None and (done_hi % CHECKPOINT_EVERY == 0 or done_hi == replications):
-            _save_checkpoint(checkpoint, checkpoint_meta, out[:done_hi])
+            print(f"\r{hi}/{replications} replications", end="", file=sys.stderr, flush=True)
+        if checkpoint is not None and (
+            hi // CHECKPOINT_EVERY > lo // CHECKPOINT_EVERY or hi == replications
+        ):
+            _save_checkpoint(checkpoint, checkpoint_meta, out[:hi])
 
     if nworkers == 1:
         for lo, hi in ranges:
             out[lo:hi] = _run_range(fn, seed, lo, hi, args)
-            note_progress(hi)
+            note_progress(lo, hi)
     else:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             futures = [(lo, hi, pool.submit(_run_range, fn, seed, lo, hi, args)) for lo, hi in ranges]
             # Gather in replication order: checkpoints always cover a prefix.
             for lo, hi, fut in futures:
                 out[lo:hi] = fut.result()
-                note_progress(hi)
+                note_progress(lo, hi)
     if progress:
         print(file=sys.stderr)
     return out

@@ -32,9 +32,8 @@ import numpy as np
 
 from .standardize import StandardizedSample
 
-# Fixed block edge for the pairwise double sum.  Partial block sums are
-# combined with math.fsum in a fixed order, so the result does not depend on
-# how the work is chunked or parallelized (agreement demanded to 1e-12).
+# Block edge of the pairwise kernel: working memory is O(_BLOCK^2 + nd) for
+# every statistic built on the Gram matrix.  Read at call time.
 _BLOCK = 2048
 
 
@@ -66,44 +65,60 @@ def scaling_factor(d: int, a: float) -> float:
     return d**-2.0 * (a / np.pi) ** (d / 2.0)
 
 
-def _pairwise_exp_quad(y: np.ndarray, r: np.ndarray, a: float, block: int = _BLOCK) -> float:
-    """sum_{j,k} r_j r_k exp(-||Y_j - Y_k||^2/(4a)), blockwise with fsum.
+def _pairwise_apply(y: np.ndarray, r: np.ndarray, kernel, v: np.ndarray) -> np.ndarray:
+    """K @ v for the symmetric K[j, k] = kernel(Y_j . Y_k, r_j, r_k), blockwise.
 
-    Off-diagonal blocks are evaluated once and counted twice (j<k folding).
+    ``kernel(g, rj, rk)`` maps a block of Gram entries (rows j, columns k) to
+    kernel values and may overwrite ``g``.  Diagonal Gram entries are set to
+    ``r`` exactly, so self-distances vanish exactly for every kernel.
+    Off-diagonal blocks are evaluated once and applied to both halves (j<k
+    folding).
     """
-    n = y.shape[0]
-    c = 1.0 / (4.0 * a)
-    if n <= block:
-        # in place: the n x n buffer is the memory high-water mark
-        e = y @ y.T
-        e *= 2.0 * c
-        e -= (c * r)[:, None]
-        e -= (c * r)[None, :]
-        # self-distances are exactly zero; roundoff there is amplified by 1/a
-        np.fill_diagonal(e, 0.0)
-        np.exp(e, out=e)
-        return float(r @ (e @ r))
-    parts = []
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        yi, ri = y[i0:i1], r[i0:i1]
-        for j0 in range(i0, n, block):
-            j1 = min(j0 + block, n)
-            yj, rj = y[j0:j1], r[j0:j1]
-            e = (2.0 * (yi @ yj.T) - ri[:, None] - rj[None, :]) * c
+    n, b = y.shape[0], _BLOCK
+    if n <= b:
+        g = y @ y.T
+        np.fill_diagonal(g, r)
+        return kernel(g, r, r) @ v
+    out = np.zeros(v.shape)
+    for i0 in range(0, n, b):
+        yi, ri, vi = y[i0 : i0 + b], r[i0 : i0 + b], v[i0 : i0 + b]
+        for j0 in range(i0, n, b):
+            g = yi @ y[j0 : j0 + b].T
             if j0 == i0:
-                np.fill_diagonal(e, 0.0)
-            np.exp(e, out=e)
-            s = float(ri @ (e @ rj))
-            parts.append(s if j0 == i0 else 2.0 * s)
-    return math.fsum(parts)
+                np.fill_diagonal(g, ri)
+            k = kernel(g, ri, r[j0 : j0 + b])
+            out[i0 : i0 + b] += k @ v[j0 : j0 + b]
+            if j0 > i0:
+                out[j0 : j0 + b] += k.T @ vi
+    return out
 
 
-def _t_value(y: np.ndarray, a: float, block: int = _BLOCK) -> float:
+def _pairwise_sum(y: np.ndarray, r: np.ndarray, kernel) -> float:
+    """sum_{j,k} K[j, k] for the kernel of :func:`_pairwise_apply`."""
+    ones = np.empty(y.shape[0])
+    ones.fill(1.0)  # cheaper than np.ones, whose fixed cost shows at small n
+    return float(ones @ _pairwise_apply(y, r, kernel, ones))
+
+
+def _gauss_kernel(a: float):
+    """Kernel exp(-||Y_j - Y_k||^2 / (4a)) of the Gram entries, in place."""
+    c = 1.0 / (4.0 * a)
+
+    def kernel(g, rj, rk):
+        g *= 2.0 * c
+        g -= (c * rj)[:, None]
+        g -= (c * rk)[None, :]
+        return np.exp(g, out=g)
+
+    return kernel
+
+
+def _t_value(y: np.ndarray, a: float) -> float:
     """Raw statistic from a residual matrix (no validation)."""
     n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
-    term1 = (np.pi / a) ** (d / 2.0) / n * _pairwise_exp_quad(y, r, a, block=block)
+    quad = float(r @ _pairwise_apply(y, r, _gauss_kernel(a), r))
+    term1 = (np.pi / a) ** (d / 2.0) / n * quad
     term2 = (
         2.0
         * (2.0 * np.pi) ** (d / 2.0)
@@ -155,13 +170,13 @@ def mardia_skewness(sample: StandardizedSample) -> float:
     """Classical skewness statistic n^{-2} sum_{j,k} (Y_j^T Y_k)^3."""
     y = sample.residuals
     n = y.shape[0]
-    parts = []
-    for i0 in range(0, n, _BLOCK):
-        yi = y[i0 : i0 + _BLOCK]
-        for j0 in range(0, n, _BLOCK):
-            g = yi @ y[j0 : j0 + _BLOCK].T
-            parts.append(float(np.sum(g**3)))
-    return math.fsum(parts) / n**2
+    r = np.einsum("ij,ij->i", y, y)
+
+    def cube(g, rj, rk):
+        g *= g * g
+        return g
+
+    return _pairwise_sum(y, r, cube) / n**2
 
 
 def mardia_kurtosis(sample: StandardizedSample) -> float:

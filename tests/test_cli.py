@@ -133,6 +133,18 @@ class TestCritTable:
         e12 = [e for e in second["entries"] if e["n"] == 12][0]
         assert e12 == first["entries"][0]
 
+    def test_resume_warns_on_unreadable_output(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        base = ["crit-table", "--d", "1", "--a", "1.0", "--n", "12", "--reps", "200",
+                "--seed", "2", "--format", "json", "--output", str(out), "--resume",
+                "--workers", "1"]
+        assert main(base) == 0
+        assert "warning" not in capsys.readouterr().err
+        out.write_text("{not json")
+        assert main(base) == 0
+        assert "warning: cannot resume from" in capsys.readouterr().err
+        assert len(json.loads(out.read_text())["entries"]) == 1
+
 
 class TestPowerCommand:
     def test_small_study(self, tmp_path):

@@ -56,6 +56,17 @@ class TestCheckpoint:
         saved = parallel._load_checkpoint(path, "m")
         np.testing.assert_array_equal(saved, out)
 
+    def test_saved_when_prefix_crosses_a_multiple(self, tmp_path, monkeypatch):
+        # chunks of 125 replications never end on a multiple of 150
+        monkeypatch.setattr(parallel, "CHECKPOINT_EVERY", 150)
+        saved = []
+        monkeypatch.setattr(parallel, "_save_checkpoint", lambda path, meta, v: saved.append(len(v)))
+        parallel.map_replications(
+            _first_normal, 1000, seed=3, workers=1, checkpoint=str(tmp_path / "c.npz"),
+            checkpoint_meta="m",
+        )
+        assert saved == [250, 375, 500, 625, 750, 1000]
+
 
 class TestWorkerResolution:
     def test_env_overrides(self, monkeypatch):

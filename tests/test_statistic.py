@@ -14,7 +14,9 @@ from normtest import (
     t_statistic,
     t_statistic_quadrature,
 )
-from normtest.statistic import _pairwise_exp_quad
+from normtest import statistic
+from normtest.competitors import bhep, hjg, hv
+from normtest.inference import p_aggregates, sigma_hat_sq
 from conftest import make_rng
 
 # Closed form at Y = {-1, +1}, a = 1, frozen from the quadrature oracle
@@ -89,13 +91,30 @@ class TestClosedForm:
             with pytest.raises(ValueError):
                 t_statistic(TWO_POINT, bad)
 
-    def test_chunking_independence(self):
-        y = make_rng(9).normal(size=(600, 2))
-        r = np.einsum("ij,ij->i", y, y)
-        full = _pairwise_exp_quad(y, r, 0.7, block=2048)
+    def test_chunking_independence(self, monkeypatch):
+        sample = scaled_residuals(make_rng(9).normal(size=(600, 2)))
+
+        def evaluate():
+            ag = p_aggregates(sample, 0.7)
+            scalars = [
+                t_statistic(sample, 0.7).value,
+                bhep(sample, 0.5),
+                hjg(sample, 1.5),
+                hv(sample, 5.0),
+                mardia_skewness(sample),
+                sigma_hat_sq(sample, 0.7),
+            ]
+            vectors = [ag.p1a2_of, ag.p1a3_of, ag.p2a3_of, ag.p1a1_tilde, ag.p1a2_tilde, ag.p2a_tilde]
+            return scalars, vectors
+
+        monkeypatch.setattr(statistic, "_BLOCK", 2048)
+        full_scalars, full_vectors = evaluate()
         for block in (64, 101, 257):
-            chunked = _pairwise_exp_quad(y, r, 0.7, block=block)
-            assert chunked == pytest.approx(full, rel=1e-12)
+            monkeypatch.setattr(statistic, "_BLOCK", block)
+            scalars, vectors = evaluate()
+            assert scalars == pytest.approx(full_scalars, rel=1e-12)
+            for got, want in zip(vectors, full_vectors):
+                np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 class TestLimits:
