@@ -15,6 +15,7 @@ from normtest.inference import (
     logistic_cf_second_derivative,
     uniform_cf_second_derivative,
 )
+from normtest.parallel import substream
 
 DISTS = {
     "uniform": (uniform_cf_second_derivative, lambda rng, n: rng.uniform(-np.sqrt(3), np.sqrt(3), n)),
@@ -41,9 +42,7 @@ if __name__ == "__main__":
         for name, (_, draw) in DISTS.items():
             hits = 0
             for i in range(args.reps):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=args.seed, spawn_key=(DISTS_ID[name], n, i))
-                )
+                rng = substream(args.seed, DISTS_ID[name], n, i)
                 est = delta_estimate(scaled_residuals(draw(rng, n)[:, None]), args.a)
                 ci = confidence_interval(est, args.alpha)
                 hits += ci.lower <= targets[name] <= ci.upper

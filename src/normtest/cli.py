@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .nulldist import (
     limit_quantile,
     mc_null_sample,
 )
+from .parallel import LIMIT, derive_seed, float_key
 from .samplers import parse_spec
 from .standardize import load_csv, scaled_residuals
 from .statistic import t_statistic
@@ -48,7 +50,7 @@ def _render_rows(fmt: str, header: list[str], rows: list[list]) -> str:
     if fmt == "csv":
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+            lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
@@ -69,9 +71,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _check_run_config(args) -> None:
-    if getattr(args, "reps", 1) < 1:
+    if args.reps < 1:
         raise ValueError("replications must be >= 1")
-    if not 0.0 < getattr(args, "alpha", 0.05) < 1.0:
+    if not 0.0 < args.alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
 
 
@@ -145,7 +147,12 @@ def cmd_crit_table(args) -> int:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             _progress(f"warning: cannot resume from {args.output} ({exc}); starting over")
             prev = None
-        if prev is not None and prev.replications == args.reps and prev.seed == args.seed:
+        if prev is not None:
+            if (prev.replications, prev.seed) != (args.reps, args.seed):
+                raise ValueError(
+                    f"cannot resume: {args.output} holds replications={prev.replications}, "
+                    f"seed={prev.seed}; requested replications={args.reps}, seed={args.seed}"
+                )
             table.entries.update(prev.entries)
             done = set(prev.entries)
             _progress(f"resuming: {len(done)} cells already present")
@@ -156,19 +163,15 @@ def cmd_crit_table(args) -> int:
                 if key in done:
                     continue
                 if math.isinf(n):
-                    cfg = LimitSamplerConfig(
-                        m=args.m,
-                        ell=args.ell,
-                        seed=power_mod.derive_seed(args.seed, 2, d, power_mod._abits(a)),
-                    )
+                    seed = derive_seed(args.seed, LIMIT, d, float_key(a))
+                    cfg = LimitSamplerConfig(m=args.m, ell=args.ell, seed=seed)
                     q = limit_quantile(d, a, args.alpha, cfg)
                 else:
-                    seed = power_mod.derive_seed(args.seed, 0, d, int(n), power_mod._abits(a))
-                    vals = mc_null_sample(
-                        d, int(n), a, args.reps, seed, workers=_workers(args), progress=True,
+                    q = power_mod.t_critical_value(
+                        d, int(n), a, args.alpha, args.reps, args.seed, workers=_workers(args),
                         checkpoint=_cell_checkpoint(args, "crit", d, int(n), a, args.seed),
+                        progress=True,
                     )
-                    q = critical_value(vals, args.alpha)
                 table.add(d, n, a, args.alpha, q)
                 _progress(f"d={d} n={n} a={a:g}: quantile {q:.4f}")
                 if args.resume and args.output:
@@ -176,12 +179,12 @@ def cmd_crit_table(args) -> int:
                         f.write(table.to_json() + "\n")
     if args.format == "json":
         text = table.to_json() + "\n"
-    elif args.format == "csv":
-        text = table.to_csv()
     else:
+        # the table format leaves out the columns that repeat the flags
         header = ["d", "n", "a", "alpha", "quantile"]
-        rows = [[r["d"], r["n"], r["a"], r["alpha"], r["quantile"]] for r in table.rows()]
-        text = _render_rows("table", header, rows)
+        if args.format == "csv":
+            header += ["replications", "seed"]
+        text = _render_rows(args.format, header, [[r[k] for k in header] for r in table.rows()])
     _emit(args, text)
     return 0
 
@@ -209,40 +212,45 @@ def cmd_power(args) -> int:
     return 0
 
 
-def cmd_delta_ci(args) -> int:
+def _estimate(args):
     data = load_csv(args.input, delimiter=args.delimiter, header=args.header)
-    sample = scaled_residuals(data)
-    est = delta_estimate(sample, args.a)
-    ci = confidence_interval(est, args.alpha)
-    obj = {"estimate": est.to_dict(), "confidence_interval": ci.to_dict()}
+    return delta_estimate(scaled_residuals(data), args.a)
+
+
+def _emit_estimate(args, est, name: str, result, table: str) -> None:
+    """``table`` text, json nesting ``result`` under ``name``, or one csv row."""
     if args.format == "table":
-        text = (
-            f"delta_hat  {est.delta_hat:.6f}\n"
-            f"sigma_hat  {est.sigma_hat:.6f}\n"
-            f"{100 * (1 - args.alpha):g}% CI     [{ci.lower:.6f}, {ci.upper:.6f}]\n"
-        )
+        text = table
+    elif args.format == "json":
+        text = json.dumps({"estimate": asdict(est), name: asdict(result)}, indent=2, sort_keys=True) + "\n"
     else:
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        row = asdict(est) | asdict(result)
+        text = _render_rows("csv", list(row), [list(row.values())])
     _emit(args, text)
+
+
+def cmd_delta_ci(args) -> int:
+    est = _estimate(args)
+    ci = confidence_interval(est, args.alpha)
+    _emit_estimate(
+        args, est, "confidence_interval", ci,
+        f"delta_hat  {est.delta_hat:.6f}\n"
+        f"sigma_hat  {est.sigma_hat:.6f}\n"
+        f"{100 * (1 - args.alpha):g}% CI     [{ci.lower:.6f}, {ci.upper:.6f}]\n",
+    )
     return 0
 
 
 def cmd_validate(args) -> int:
-    data = load_csv(args.input, delimiter=args.delimiter, header=args.header)
-    sample = scaled_residuals(data)
-    est = delta_estimate(sample, args.a)
+    est = _estimate(args)
     result = validation_test(est, args.delta0, args.alpha)
-    obj = {"estimate": est.to_dict(), "validation": result.to_dict()}
-    if args.format == "table":
-        verdict = "reject (validated: within delta0 of normality)" if result.reject else "retain"
-        text = (
-            f"delta_hat  {est.delta_hat:.6f}\n"
-            f"threshold  {result.threshold:.6f}\n"
-            f"decision   {verdict}\n"
-        )
-    else:
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    _emit(args, text)
+    verdict = "reject (validated: within delta0 of normality)" if result.reject else "retain"
+    _emit_estimate(
+        args, est, "validation", result,
+        f"delta_hat  {est.delta_hat:.6f}\n"
+        f"threshold  {result.threshold:.6f}\n"
+        f"decision   {verdict}\n",
+    )
     return 2 if result.reject else 0
 
 
@@ -289,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alt", action="append", required=True, help="alternative spec, e.g. nmix:p=0.1,mu=3,sigma=I")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=float, action="append", default=None)
+    p.add_argument("--a", type=float, action="append", default=[])
     p.add_argument("--competitor", action="append", default=[], help="e.g. bhep:0.5, hv:5, hvinf, bcmr, be:1")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=10_000)
@@ -327,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "a", None) is None and args.command == "power":
-        args.a = []
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

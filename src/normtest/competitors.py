@@ -87,44 +87,53 @@ def bhep(sample: StandardizedSample, a: float) -> float:
 
 
 def hjg(sample: StandardizedSample, beta: float) -> float:
-    """MGF-distance statistic; beta > 1 keeps all three terms finite."""
+    """MGF-distance statistic; beta > 1 keeps all three terms finite.
+
+    Every term is scaled by exp(-c), c = max_j ||Y_j||^2 / beta, which bounds
+    every exponent, so an outlier gives a finite value or +inf, never inf - inf.
+    """
     if beta <= 1.0:
         raise ValueError("hjg requires beta > 1")
     y = sample.residuals
     n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
+    rmax = float(r[r.argmax()])  # cheaper than r.max() at small n
+    c = rmax / beta
 
     def kernel(g, rj, rk):
         g *= 2.0
-        g += rj[:, None] + rk[None, :]  # ||Y_j + Y_k||^2
+        g += (rj - 4.0 * rmax)[:, None] + rk[None, :]  # ||Y_j + Y_k||^2 - 4 rmax
         g /= 4.0 * beta
         return np.exp(g, out=g)
 
     term1 = _pairwise_sum(y, r, kernel) / (n * beta ** (d / 2.0))
-    term2 = 2.0 * (beta - 0.5) ** (-d / 2.0) * float(np.sum(np.exp(r / (4.0 * beta - 2.0))))
-    term3 = n * (beta - 1.0) ** (-d / 2.0)
-    return term1 - term2 + term3
+    term2 = 2.0 * (beta - 0.5) ** (-d / 2.0) * float(np.exp(r / (4.0 * beta - 2.0) - c).sum())
+    term3 = n * (beta - 1.0) ** (-d / 2.0) * math.exp(-c)
+    return float((term1 - term2 + term3) * np.exp(c))
 
 
 def hv(sample: StandardizedSample, gamma: float) -> float:
-    """MGF differential-characterization statistic; gamma > 2."""
+    """MGF differential-characterization statistic; gamma > 2; scaled as in :func:`hjg`."""
     if gamma <= 2.0:
         raise ValueError("hv requires gamma > 2")
     y = sample.residuals
     n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
+    rmax = float(r[r.argmax()])
+    coef = 1.0 / (4.0 * gamma * gamma) - 1.0 / (2.0 * gamma)
 
     def kernel(g, rj, rk):
-        ssq = rj[:, None] + rk[None, :]
-        ssq += 2.0 * g  # ||Y_j + Y_k||^2
-        g += ssq * (1.0 / (4.0 * gamma * gamma) - 1.0 / (2.0 * gamma))
-        g += d / (2.0 * gamma)
+        ssq = (rj - 4.0 * rmax)[:, None] + rk[None, :]
+        ssq += 2.0 * g  # ||Y_j + Y_k||^2 - 4 rmax
+        g += ssq * coef
+        g += 4.0 * rmax * coef + d / (2.0 * gamma)
         ssq /= 4.0 * gamma
         np.exp(ssq, out=ssq)
         ssq *= g
         return ssq
 
-    return (np.pi / gamma) ** (d / 2.0) / n * _pairwise_sum(y, r, kernel)
+    scaled = (np.pi / gamma) ** (d / 2.0) / n * _pairwise_sum(y, r, kernel)
+    return float(scaled * np.exp(rmax / gamma))
 
 
 def hv_inf(sample: StandardizedSample) -> float:

@@ -312,16 +312,6 @@ class DeltaEstimate:
     a: float
     clipped: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "delta_hat": self.delta_hat,
-            "sigma_hat": self.sigma_hat,
-            "n": self.n,
-            "d": self.d,
-            "a": self.a,
-            "clipped": self.clipped,
-        }
-
 
 def delta_estimate(sample: StandardizedSample, a: float) -> DeltaEstimate:
     """Estimate Delta_a by T/n together with the closed-form sigma estimate."""
@@ -348,9 +338,6 @@ class ConfidenceInterval:
     upper: float
     alpha: float
 
-    def to_dict(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper, "alpha": self.alpha}
-
 
 def confidence_interval(est: DeltaEstimate, alpha: float) -> ConfidenceInterval:
     if not 0.0 < alpha < 1.0:
@@ -372,14 +359,6 @@ class ValidationResult:
     threshold: float
     delta0: float
     alpha: float
-
-    def to_dict(self) -> dict:
-        return {
-            "reject": self.reject,
-            "threshold": self.threshold,
-            "delta0": self.delta0,
-            "alpha": self.alpha,
-        }
 
 
 def validation_test(est: DeltaEstimate, delta0: float, alpha: float) -> ValidationResult:

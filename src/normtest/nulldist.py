@@ -212,7 +212,7 @@ def limit_quantile(
     a = check_tuning(a)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed))
+    rng = parallel.substream(config.seed)
     if support_points is None:
         u = rng.normal(scale=np.sqrt(0.5 / a), size=(config.m, d))
     else:
@@ -281,15 +281,6 @@ class CriticalValueTable:
             indent=2,
             sort_keys=True,
         )
-
-    def to_csv(self) -> str:
-        lines = ["d,n,a,alpha,quantile,replications,seed"]
-        for row in self.rows():
-            lines.append(
-                f"{row['d']},{row['n']},{row['a']!r},{row['alpha']!r},"
-                f"{row['quantile']!r},{row['replications']},{row['seed']}"
-            )
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "CriticalValueTable":

@@ -1,9 +1,10 @@
-"""Seeded, replication-parallel Monte Carlo engine.
+"""Seeded, replication-parallel Monte Carlo engine; the package's one seeding rule.
 
-Contract: replication i draws from the RNG substream derived from
-(master seed, i) only, so the full vector of results is bit-for-bit
-identical for any worker count and any chunking.  Results are gathered in
-replication order.
+Every random stream is ``substream(seed, *key)``.  A study cell derives its
+seed as ``derive_seed(master, purpose, *cell)``; replication i then draws from
+``substream(cell_seed, i)`` only, so the full vector of results is
+bit-for-bit identical for any worker count and any chunking.  Results are
+gathered in replication order.
 """
 
 from __future__ import annotations
@@ -21,9 +22,25 @@ ENV_WORKERS = "NORMTEST_THREADS"
 CHECKPOINT_EVERY = 10_000
 
 
-def substream(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for replication ``index`` of master ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+# Purpose tags of derived seeds.  Their values are part of the
+# reproducibility contract: changing one changes every table built on it.
+CRIT, ALT, LIMIT = 0, 1, 2
+
+
+def substream(seed: int, *key: int) -> np.random.Generator:
+    """Independent generator for the stream labelled ``key`` of master ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def derive_seed(seed: int, *key: int) -> int:
+    """Deterministic 64-bit sub-seed for a labelled purpose/cell key."""
+    state = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
+    return int.from_bytes(state.generate_state(2).tobytes(), "little")
+
+
+def float_key(x: float) -> int:
+    """Bit pattern of a float, so that it enters a seed key exactly."""
+    return int(np.float64(x).view(np.uint64))
 
 
 def resolve_workers(workers: int | None) -> int:

@@ -14,22 +14,10 @@ import numpy as np
 from . import parallel
 from .competitors import CompetitorSpec, evaluate
 from .nulldist import critical_value, mc_null_sample
+from .parallel import ALT, CRIT, derive_seed, float_key
 from .samplers import AlternativeSpec, sample
 from .standardize import _residual_matrix
 from .statistic import _scaled_t
-
-# purpose tags for derived seeds
-_CRIT, _ALT = 0, 1
-
-
-def _abits(a: float) -> int:
-    return int(np.float64(a).view(np.uint64))
-
-
-def derive_seed(seed: int, *path: int) -> int:
-    """Deterministic sub-seed for a labelled purpose/cell path."""
-    state = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return int.from_bytes(state.generate_state(2).tobytes(), "little")
 
 
 def _alt_t_rep(rng: np.random.Generator, spec: AlternativeSpec, n: int, d: int, a: float) -> float:
@@ -48,20 +36,24 @@ def _null_comp_rep(rng: np.random.Generator, n: int, d: int, comp: CompetitorSpe
 
 
 def t_critical_value(
-    d: int, n: int, a: float, alpha: float, replications: int, seed: int, *, workers=1
+    d: int, n: int, a: float, alpha: float, replications: int, seed: int, *, workers=1,
+    checkpoint: str | None = None, progress: bool = False,
 ) -> float:
-    vals = mc_null_sample(d, n, a, replications, derive_seed(seed, _CRIT, d, n, _abits(a)), workers=workers)
+    vals = mc_null_sample(
+        d, n, a, replications, derive_seed(seed, CRIT, d, n, float_key(a)),
+        workers=workers, checkpoint=checkpoint, progress=progress,
+    )
     return critical_value(vals, alpha)
 
 
 def competitor_critical_value(
     comp: CompetitorSpec, d: int, n: int, alpha: float, replications: int, seed: int, *, workers=1
 ) -> float:
-    tuning = _abits(comp.tuning) if comp.tuning is not None else 0
+    tuning = float_key(comp.tuning) if comp.tuning is not None else 0
     vals = parallel.map_replications(
         _null_comp_rep,
         replications,
-        derive_seed(seed, _CRIT, d, n, KINDS_ID[comp.kind], tuning),
+        derive_seed(seed, CRIT, d, n, KINDS_ID[comp.kind], tuning),
         args=(n, d, comp),
         workers=workers,
     )
@@ -86,7 +78,7 @@ def t_power(
     vals = parallel.map_replications(
         _alt_t_rep,
         replications,
-        derive_seed(seed, _ALT, d, n, _abits(a)),
+        derive_seed(seed, ALT, d, n, float_key(a)),
         args=(alt, n, d, a),
         workers=workers,
     )
@@ -104,11 +96,11 @@ def competitor_power(
     *,
     workers=1,
 ) -> float:
-    tuning = _abits(comp.tuning) if comp.tuning is not None else 0
+    tuning = float_key(comp.tuning) if comp.tuning is not None else 0
     vals = parallel.map_replications(
         _alt_comp_rep,
         replications,
-        derive_seed(seed, _ALT, d, n, KINDS_ID[comp.kind], tuning),
+        derive_seed(seed, ALT, d, n, KINDS_ID[comp.kind], tuning),
         args=(alt, n, d, comp),
         workers=workers,
     )

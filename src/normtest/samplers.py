@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .parallel import substream
+
 _UNIVARIATE = {
     "t",
     "uniform",
@@ -215,11 +217,7 @@ def sample(spec: AlternativeSpec, n: int, seed_or_rng, d: int = 1) -> np.ndarray
     """Draw an (n, d) data matrix; deterministic given (spec, n, seed, d)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(np.random.SeedSequence(entropy=int(seed_or_rng)))
-    )
+    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else substream(int(seed_or_rng))
     kind, p = spec.kind, spec.params
     if kind == "std":
         return rng.standard_normal((n, d))

@@ -40,6 +40,7 @@ from normtest.inference import (
     logistic_cf_second_derivative,
     uniform_cf_second_derivative,
 )
+from normtest.parallel import CRIT, derive_seed, float_key
 from normtest.samplers import parse_spec
 from normtest.statistic import mrs_skewness, mardia_kurtosis
 from conftest import make_rng, random_invertible
@@ -281,7 +282,7 @@ def test_criterion_12_determinism(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
     # the CLI derives one substream per table cell from the master seed
-    cell_seed = power_mod.derive_seed(4242, 0, 2, 20, power_mod._abits(1.0))
+    cell_seed = derive_seed(4242, CRIT, 2, 20, float_key(1.0))
     cell_vals = mc_null_sample(2, 20, 1.0, 2000, seed=cell_seed, workers=1)
     obj = json.loads(outs[0])
     assert obj["entries"][0]["quantile"] == critical_value(cell_vals, 0.05)

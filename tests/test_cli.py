@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from normtest.cli import main
+from normtest.nulldist import LimitSamplerConfig, limit_quantile
+from normtest.parallel import LIMIT, derive_seed, float_key
 from conftest import make_rng
 
 IRIS = pathlib.Path(__file__).parent / "data" / "iris.csv"
@@ -99,9 +101,12 @@ class TestCritTable:
              "--ell", "4000", "--format", "csv", "--output", str(out), "--workers", "1"]
         )
         assert code == 0
-        text = out.read_text()
-        assert text.splitlines()[0] == "d,n,a,alpha,quantile,replications,seed"
-        assert ",inf," in text.splitlines()[1]
+        seed = derive_seed(0, LIMIT, 1, float_key(1.0))
+        q = limit_quantile(1, 1.0, 0.05, LimitSamplerConfig(m=80, ell=4000, seed=seed))
+        assert out.read_text().splitlines() == [
+            "d,n,a,alpha,quantile,replications,seed",
+            f"1,inf,1.0,0.05,{q!r},100000,0",
+        ]
 
     def test_checkpoint_directory(self, tmp_path):
         out = tmp_path / "t.json"
@@ -132,6 +137,20 @@ class TestCritTable:
         assert len(second["entries"]) == 2
         e12 = [e for e in second["entries"] if e["n"] == 12][0]
         assert e12 == first["entries"][0]
+
+    def test_resume_refuses_other_reps_or_seed(self, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        base = ["crit-table", "--d", "1", "--a", "1.0", "--format", "json", "--output", str(out),
+                "--resume", "--workers", "1"]
+        assert main(base + ["--n", "12", "--reps", "200", "--seed", "2"]) == 0
+        first = out.read_bytes()
+        capsys.readouterr()
+        for flags in (["--reps", "300", "--seed", "2"], ["--reps", "200", "--seed", "3"]):
+            assert main(base + ["--n", "16"] + flags) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and "replications=200, seed=2" in err
+            assert f"replications={flags[1]}, seed={flags[3]}" in err
+            assert out.read_bytes() == first
 
     def test_resume_warns_on_unreadable_output(self, tmp_path, capsys):
         out = tmp_path / "table.json"
@@ -190,6 +209,17 @@ class TestDeltaCi:
         est, ci = obj["estimate"], obj["confidence_interval"]
         assert ci["lower"] <= est["delta_hat"] <= ci["upper"]
         assert json.loads(json.dumps(obj, indent=2, sort_keys=True)) == obj
+
+    def test_csv_is_one_row(self, tmp_path, capsys):
+        data = _write_normal_csv(tmp_path / "x.csv", n=80, d=1, seed=9)
+        argv = ["delta-ci", "--input", data, "--a", "0.5", "--alpha", "0.05", "--format"]
+        assert main(argv + ["json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert main(argv + ["csv"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "delta_hat,sigma_hat,n,d,a,clipped,lower,upper,alpha"
+        want = {**obj["estimate"], **obj["confidence_interval"]}
+        assert row.split(",") == [str(want[k]) for k in header.split(",")]
 
 
 class TestValidate:

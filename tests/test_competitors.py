@@ -98,6 +98,18 @@ class TestHv:
         assert hv(scaled_residuals(moved), 5.0) == pytest.approx(base, rel=1e-8)
 
 
+class TestOutlier:
+    def test_one_outlier_gives_no_nan(self):
+        # unscaled, exp(||Y_j + Y_k||^2 / (4 beta)) overflows and hjg was inf - inf
+        x = make_rng(21).standard_normal((3000, 2))
+        x[0] = (1000.0, 0.0)
+        s = scaled_residuals(x)
+        with np.errstate(over="ignore"):
+            values = hjg(s, 1.5), hv(s, 5.0)
+        assert not any(math.isnan(v) for v in values)
+        assert all(v > 0.0 for v in values)
+
+
 class TestHvInf:
     def test_symmetric_two_point_zero(self):
         assert hv_inf(TWO_POINT) == pytest.approx(0.0, abs=1e-12)

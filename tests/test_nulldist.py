@@ -15,6 +15,7 @@ from normtest import (
     mc_null_sample,
     pvalue_mc,
 )
+from normtest.cli import _render_rows
 from normtest.nulldist import _h_func, _kernel_matrix
 from conftest import make_rng
 
@@ -239,7 +240,9 @@ class TestCriticalValueTable:
     def test_csv_contains_inf_row(self):
         table = CriticalValueTable(replications=10, seed=0)
         table.add(2, math.inf, 3.0, 0.05, 0.6)
-        assert "2,inf,3.0,0.05,0.6,10,0" in table.to_csv()
+        header = ["d", "n", "a", "alpha", "quantile", "replications", "seed"]
+        text = _render_rows("csv", header, [[r[k] for k in header] for r in table.rows()])
+        assert "2,inf,3.0,0.05,0.6,10,0" in text
 
 
 TABLE1 = {

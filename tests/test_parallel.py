@@ -1,7 +1,12 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from normtest import parallel
+from normtest.samplers import parse_spec, sample
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _first_normal(rng):
@@ -27,6 +32,31 @@ class TestSubstreams:
         base = parallel.map_replications(_first_normal, 150, seed=7, workers=1)
         out = parallel.map_replications(_first_normal, 150, seed=7, workers=workers)
         np.testing.assert_array_equal(base, out)
+
+
+class TestSeedingContract:
+    """Frozen values: a change here changes every published table."""
+
+    def test_derived_seeds(self):
+        assert parallel.derive_seed(4242, parallel.CRIT, 2, 20, parallel.float_key(1.0)) == 11935040800261041523
+        assert parallel.derive_seed(4242, parallel.ALT, 2, 50, parallel.float_key(0.5)) == 18095698259103607017
+        assert parallel.derive_seed(4242, parallel.LIMIT, 2, parallel.float_key(3.0)) == 539191531130240652
+
+    def test_first_draws(self):
+        assert parallel.substream(31).standard_normal(3).tolist() == [
+            -0.39530128858657, 0.2639148850157296, 0.6071282687955677
+        ]
+        assert parallel.substream(99, 5).standard_normal(3).tolist() == [
+            1.1719223571002384, -0.7037862765640882, -0.598648033686762
+        ]
+        assert sample(parse_spec("std"), 2, 17, d=2).tolist() == [
+            [1.101262453505847, 0.3384312766461778], [-0.5399715152535035, -1.2602418568524327]
+        ]
+
+    def test_seed_sequences_built_only_in_parallel(self):
+        files = [*(ROOT / "src" / "normtest").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+        offenders = [f.name for f in files if f.name != "parallel.py" and "SeedSequence(" in f.read_text()]
+        assert len(files) > 3 and offenders == []
 
 
 class TestCheckpoint:
