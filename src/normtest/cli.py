@@ -136,6 +136,11 @@ def _parse_n(value: str) -> float:
 
 def cmd_crit_table(args) -> int:
     _check_run_config(args)
+    if args.resume and args.format != "json":
+        raise ValueError(
+            f"--resume needs --format json: a {args.format} rendering in --output cannot be "
+            "read back, so every rerun would start over"
+        )
     table = CriticalValueTable(replications=args.reps, seed=args.seed)
     done = set()
     if args.resume and args.output:
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--m", type=int, default=1000, help="support points for n=inf entries")
     p.add_argument("--ell", type=int, default=100_000, help="replicates for n=inf entries")
-    p.add_argument("--resume", action="store_true", help="reuse completed cells from --output")
+    p.add_argument("--resume", action="store_true", help="reuse cells from the json --output (needs --format json)")
     p.add_argument("--checkpoint", default=None, help="directory for resumable within-cell state")
     _add_common(p)
     p.set_defaults(func=cmd_crit_table)

@@ -202,9 +202,16 @@ def limit_quantile(
 
     Draws m support points U_k ~ N_d(0, (2a)^{-1} I) matched to the weight
     w_a, forms the kernel matrix K(U_i, U_j), then simulates ell replicates
-    X ~ N_m(0, Sigma_K) and returns the empirical quantile of
-    ||X||^2 / (d^2 m).  The normalization is the importance-sampling identity
+    of ||X||^2 / (d^2 m) with X ~ N_m(0, Sigma_K) and returns their empirical
+    quantile.  The normalization is the importance-sampling identity
     int z^2 w_a = (pi/a)^{d/2} E[z(U)^2] combined with the table scaling.
+
+    The replicates are evaluated in the eigenbasis of Sigma_K: with
+    eigenvalues lambda_i (clipped at zero) and X = Q diag(sqrt(lambda)) g,
+    ||X||^2 = sum_i lambda_i g_i^2 exactly, so no eigenvectors are formed and
+    each replicate costs m normal draws and one dot product.  The draws are
+    streamed through one buffer of about 2^20 doubles, so working memory is
+    O(m^2) plus the ell results, and the draws do not depend on the chunking.
 
     ``support_points`` overrides the random U draw (diagnostics only); its
     row count must equal ``config.m``.
@@ -221,19 +228,20 @@ def limit_quantile(
     sk = 0.5 * (sk + sk.T)
     if config.jitter > 0.0:
         sk[np.diag_indices_from(sk)] += config.jitter * np.trace(sk) / config.m
-    w, q = np.linalg.eigh(sk)
+    w = np.linalg.eigvalsh(sk)
     scale = max(float(w[-1]), 1.0)
     if w[0] < -1e-8 * scale:
         raise KernelNotPSD(f"kernel matrix eigenvalue {w[0]:.3e} below -1e-8 * scale")
-    factor = q * np.sqrt(np.clip(w, 0.0, None))  # factor @ factor.T == sk after clipping
-    norm = 1.0 / (d**2 * config.m)
+    weights = np.clip(w, 0.0, None) / (d**2 * config.m)
     zs = np.empty(config.ell)
-    chunk = max(1, min(config.ell, 2**24 // config.m))
+    chunk = max(1, min(config.ell, 2**20 // config.m))
+    buf = np.empty((chunk, config.m))
     for lo in range(0, config.ell, chunk):
         hi = min(lo + chunk, config.ell)
-        g = rng.standard_normal((hi - lo, config.m))
-        x = g @ factor.T
-        zs[lo:hi] = np.einsum("ij,ij->i", x, x) * norm
+        g = buf[: hi - lo]
+        rng.standard_normal(out=g)
+        np.square(g, out=g)
+        zs[lo:hi] = g @ weights
     return critical_value(zs, alpha)
 
 

@@ -164,6 +164,16 @@ class TestCritTable:
         assert "warning: cannot resume from" in capsys.readouterr().err
         assert len(json.loads(out.read_text())["entries"]) == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_resume_needs_json_format(self, tmp_path, capsys, fmt):
+        out = tmp_path / "table.out"
+        args = ["crit-table", "--d", "1", "--n", "12", "--a", "1.0", "--reps", "100",
+                "--format", fmt, "--output", str(out), "--resume", "--workers", "1"]
+        assert main(args) == 1
+        # refused before any cell: no progress line precedes the error
+        assert capsys.readouterr().err.startswith("error: --resume needs --format json")
+        assert not out.exists()
+
 
 class TestPowerCommand:
     def test_small_study(self, tmp_path):

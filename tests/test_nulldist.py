@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from normtest import (
     mc_null_sample,
     pvalue_mc,
 )
+from normtest import nulldist, parallel
 from normtest.cli import _render_rows
-from normtest.nulldist import _h_func, _kernel_matrix
+from normtest.nulldist import KernelNotPSD, _h_func, _kernel_matrix
 from conftest import make_rng
 
 
@@ -186,7 +188,56 @@ class TestPvalue:
         assert stats.kstest(ps, "uniform").statistic < 0.1
 
 
+def _gemm_oracle(d, a, alpha, cfg):
+    # reference sampler: factor Sigma_K = F F^T with the eigenvectors, map all
+    # ell draws through F in one GEMM and take the squared row norms
+    rng = parallel.substream(cfg.seed)
+    u = rng.normal(scale=np.sqrt(0.5 / a), size=(cfg.m, d))
+    sk = _kernel_matrix(u, d)
+    sk = 0.5 * (sk + sk.T)
+    sk[np.diag_indices_from(sk)] += cfg.jitter * np.trace(sk) / cfg.m
+    w, q = np.linalg.eigh(sk)
+    factor = q * np.sqrt(np.clip(w, 0.0, None))
+    x = rng.standard_normal((cfg.ell, cfg.m)) @ factor.T
+    return critical_value(np.einsum("ij,ij->i", x, x) / (d**2 * cfg.m), alpha)
+
+
 class TestLimitQuantile:
+    @pytest.mark.parametrize(
+        "d,a,m,ell,seed,jitter",
+        [
+            (1, 1.0, 1000, 5000, 32, 1e-10),  # 4 full chunks of 1048 rows and a partial one
+            (2, 3.0, 400, 6000, 31, 1e-10),  # chunks of 2621 rows
+            (1, 1.0, 80, 4000, 5, 1e-10),
+            (2, 1.0, 60, 4000, 42, 1e-10),
+            (3, 0.5, 300, 20_000, 7, 1e-10),  # chunks of 3495 rows
+            (1, 1.0, 2, 500, 1, 0.0),
+        ],
+    )
+    def test_matches_gemm_oracle(self, d, a, m, ell, seed, jitter):
+        cfg = LimitSamplerConfig(m=m, ell=ell, seed=seed, jitter=jitter)
+        for alpha in (0.05, 0.5):
+            q = limit_quantile(d, a, alpha, cfg)
+            assert q == pytest.approx(_gemm_oracle(d, a, alpha, cfg), rel=1e-12, abs=0.0)
+
+    def test_memory_fixed_in_ell(self):
+        # the draws stream through one buffer, so only the result vector (and
+        # its sorted copy) grows with ell
+        peaks = {}
+        for ell in (2_000, 200_000):
+            tracemalloc.start()
+            try:
+                limit_quantile(1, 1.0, 0.05, LimitSamplerConfig(m=200, ell=ell, seed=4))
+                peaks[ell] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200_000] - peaks[2_000] < 200_000 * 8 + 16 * 2**20
+
+    def test_indefinite_kernel_raises(self, monkeypatch):
+        monkeypatch.setattr(nulldist, "_kernel_matrix", lambda u, d: np.diag([1.0, -1.0, 1.0, 1.0]))
+        with pytest.raises(KernelNotPSD):
+            limit_quantile(1, 1.0, 0.05, LimitSamplerConfig(m=4, ell=100, seed=0))
+
     def test_degenerate_support_points(self):
         cfg = LimitSamplerConfig(m=2, ell=500, seed=1, jitter=0.0)
         q = limit_quantile(1, 1.0, 0.05, cfg, support_points=np.zeros((2, 1)))
