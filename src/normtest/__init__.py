@@ -44,8 +44,6 @@ from .standardize import (
     SingularCovariance,
     StandardizedSample,
     load_csv,
-    sample_covariance,
-    sample_mean,
     scaled_residuals,
     spd_inverse_sqrt,
 )
@@ -101,8 +99,6 @@ __all__ = [
     "psi_estimators",
     "pvalue_mc",
     "sample",
-    "sample_covariance",
-    "sample_mean",
     "scaled_residuals",
     "scaling_factor",
     "sigma_hat_sq",

@@ -136,6 +136,8 @@ def _parse_n(value: str) -> float:
 
 def cmd_crit_table(args) -> int:
     _check_run_config(args)
+    if args.resume and not args.output:
+        raise ValueError("--resume needs --output: the table is read from and saved to that file")
     if args.resume and args.format != "json":
         raise ValueError(
             f"--resume needs --format json: a {args.format} rendering in --output cannot be "
@@ -143,7 +145,7 @@ def cmd_crit_table(args) -> int:
         )
     table = CriticalValueTable(replications=args.reps, seed=args.seed)
     done = set()
-    if args.resume and args.output:
+    if args.resume:
         try:
             with open(args.output) as f:
                 prev = CriticalValueTable.from_json(f.read())
@@ -179,7 +181,7 @@ def cmd_crit_table(args) -> int:
                     )
                 table.add(d, n, a, args.alpha, q)
                 _progress(f"d={d} n={n} a={a:g}: quantile {q:.4f}")
-                if args.resume and args.output:
+                if args.resume:
                     with open(args.output, "w") as f:
                         f.write(table.to_json() + "\n")
     if args.format == "json":

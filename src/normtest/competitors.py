@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
-from .standardize import StandardizedSample, as_data_matrix, scaled_residuals
+from .standardize import StandardizedSample, _whiten, _whitenable, as_data_matrix
 from .statistic import _pairwise_sum, check_tuning, mardia_skewness, mrs_skewness
 
 KINDS = ("bhep", "hjg", "hv", "hv_inf", "bcmr", "be")
@@ -36,20 +36,18 @@ class CompetitorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown competitor {self.kind!r}; choose from {KINDS}")
-        if self.kind == "bhep" and not (self.tuning or 1.0) > 0:
-            raise ValueError("bhep requires a > 0")
-        if self.kind == "hjg" and not (self.tuning or 1.5) > 1.0:
-            raise ValueError("hjg requires beta > 1")
-        if self.kind == "hv" and not (self.tuning or 5.0) > 2.0:
-            raise ValueError("hv requires gamma > 2")
-        if self.kind == "be" and not (self.tuning or 1.0) > 0:
-            raise ValueError("be requires a > 0")
+        if self.kind in _TUNING_BOUND:
+            name, bound = _TUNING_BOUND[self.kind]
+            value = _DEFAULT_TUNING[self.kind] if self.tuning is None else self.tuning
+            if not value > bound:
+                raise ValueError(f"{self.kind} requires {name} > {bound:g}")
 
     def label(self) -> str:
         return self.kind if self.tuning is None else f"{self.kind}:{self.tuning:g}"
 
 
 _DEFAULT_TUNING = {"bhep": 1.0, "hjg": 1.5, "hv": 5.0, "be": 1.0}
+_TUNING_BOUND = {"bhep": ("a", 0.0), "hjg": ("beta", 1.0), "hv": ("gamma", 2.0), "be": ("a", 0.0)}
 
 
 def parse_competitor(text: str) -> CompetitorSpec:
@@ -196,20 +194,16 @@ def be(sample: StandardizedSample, a: float) -> float:
     return 2.0 / n * float(np.sum(pair)) + float(np.mean(single))
 
 
+_ON_SAMPLE = {"bhep": bhep, "hjg": hjg, "hv": hv, "hv_inf": lambda s, _: hv_inf(s), "be": be}
+
+
 def evaluate(spec: CompetitorSpec, data) -> float:
     """Evaluate a competitor on a raw data matrix (standardizing as needed)."""
-    x = as_data_matrix(data)
+    return _evaluate(spec, as_data_matrix(data) if spec.kind == "bcmr" else _whitenable(data))
+
+
+def _evaluate(spec: CompetitorSpec, x: np.ndarray) -> float:
+    # Monte Carlo entry: x is a float (n, d) matrix and is not validated.
     if spec.kind == "bcmr":
         return bcmr(x)
-    sample = scaled_residuals(x)
-    if spec.kind == "bhep":
-        return bhep(sample, spec.tuning)
-    if spec.kind == "hjg":
-        return hjg(sample, spec.tuning)
-    if spec.kind == "hv":
-        return hv(sample, spec.tuning)
-    if spec.kind == "hv_inf":
-        return hv_inf(sample)
-    if spec.kind == "be":
-        return be(sample, spec.tuning)
-    raise ValueError(f"unknown competitor {spec.kind!r}")
+    return _ON_SAMPLE[spec.kind](StandardizedSample(*_whiten(x)), spec.tuning)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import parallel
-from .standardize import _residual_matrix
+from .standardize import _whiten
 from .statistic import StatisticValue, _scaled_t, check_tuning, scaling_factor
 
 
@@ -102,8 +102,7 @@ def expected_limit(d: int, a: float) -> float:
 
 
 def _null_replication(rng: np.random.Generator, d: int, n: int, a: float) -> float:
-    y = _residual_matrix(rng.standard_normal((n, d)))
-    return _scaled_t(y, a)
+    return _scaled_t(_whiten(rng.standard_normal((n, d)))[0], a)
 
 
 def mc_null_sample(

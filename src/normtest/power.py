@@ -12,27 +12,23 @@ from __future__ import annotations
 import numpy as np
 
 from . import parallel
-from .competitors import CompetitorSpec, evaluate
+from .competitors import CompetitorSpec, _evaluate
 from .nulldist import critical_value, mc_null_sample
 from .parallel import ALT, CRIT, derive_seed, float_key
 from .samplers import AlternativeSpec, sample
-from .standardize import _residual_matrix
+from .standardize import _whiten
 from .statistic import _scaled_t
 
 
 def _alt_t_rep(rng: np.random.Generator, spec: AlternativeSpec, n: int, d: int, a: float) -> float:
     x = sample(spec, n, rng, d=d)
-    return _scaled_t(_residual_matrix(x), a)
+    return _scaled_t(_whiten(x)[0], a)
 
 
-def _alt_comp_rep(
+def _comp_rep(
     rng: np.random.Generator, spec: AlternativeSpec, n: int, d: int, comp: CompetitorSpec
 ) -> float:
-    return evaluate(comp, sample(spec, n, rng, d=d))
-
-
-def _null_comp_rep(rng: np.random.Generator, n: int, d: int, comp: CompetitorSpec) -> float:
-    return evaluate(comp, rng.standard_normal((n, d)))
+    return _evaluate(comp, sample(spec, n, rng, d=d))
 
 
 def t_critical_value(
@@ -51,10 +47,10 @@ def competitor_critical_value(
 ) -> float:
     tuning = float_key(comp.tuning) if comp.tuning is not None else 0
     vals = parallel.map_replications(
-        _null_comp_rep,
+        _comp_rep,
         replications,
         derive_seed(seed, CRIT, d, n, KINDS_ID[comp.kind], tuning),
-        args=(n, d, comp),
+        args=(AlternativeSpec("std"), n, d, comp),
         workers=workers,
     )
     return critical_value(vals, alpha)
@@ -98,7 +94,7 @@ def competitor_power(
 ) -> float:
     tuning = float_key(comp.tuning) if comp.tuning is not None else 0
     vals = parallel.map_replications(
-        _alt_comp_rep,
+        _comp_rep,
         replications,
         derive_seed(seed, ALT, d, n, KINDS_ID[comp.kind], tuning),
         args=(alt, n, d, comp),

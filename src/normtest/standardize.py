@@ -47,23 +47,6 @@ def load_csv(path, *, delimiter: str = ",", header: bool = False) -> np.ndarray:
     return as_data_matrix(x)
 
 
-def sample_mean(data) -> np.ndarray:
-    """Column-wise arithmetic mean of the observations."""
-    x = as_data_matrix(data)
-    return x.mean(axis=0)
-
-
-def sample_covariance(data) -> np.ndarray:
-    """Sample covariance matrix with divisor n: (1/n) sum (X_j - m)(X_j - m)^T."""
-    x = as_data_matrix(data)
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("covariance requires at least two observations")
-    xc = x - x.mean(axis=0)
-    s = xc.T @ xc / n
-    return 0.5 * (s + s.T)
-
-
 def spd_inverse_sqrt(s, rel_tol: float = 1e-12) -> np.ndarray:
     """Symmetric positive definite inverse square root via eigendecomposition.
 
@@ -76,6 +59,10 @@ def spd_inverse_sqrt(s, rel_tol: float = 1e-12) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if not np.allclose(s, s.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(s).max()))):
         raise ValueError("matrix is not symmetric")
+    return _inverse_sqrt(s, rel_tol)
+
+
+def _inverse_sqrt(s: np.ndarray, rel_tol: float) -> np.ndarray:
     w, q = np.linalg.eigh(s)
     if w[-1] <= 0.0 or w[0] <= rel_tol * w[-1]:
         raise SingularCovariance(
@@ -83,6 +70,21 @@ def spd_inverse_sqrt(s, rel_tol: float = 1e-12) -> np.ndarray:
         )
     root = (q * w**-0.5) @ q.T
     return 0.5 * (root + root.T)
+
+
+def _whiten(x: np.ndarray, rel_tol: float = 1e-12):
+    """(residuals, mean, covariance, inv_sqrt) of a float (n, d) matrix.
+
+    The one whitening rule of the package: the validated public path and the
+    Monte Carlo replications run exactly these operations, the latter on
+    their own draws without any input validation.
+    """
+    mean = x.mean(axis=0)
+    xc = x - mean
+    cov = xc.T @ xc / x.shape[0]
+    cov = 0.5 * (cov + cov.T)
+    inv_sqrt = _inverse_sqrt(cov, rel_tol)
+    return xc @ inv_sqrt, mean, cov, inv_sqrt
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,19 @@ class StandardizedSample:
 
     @classmethod
     def from_residuals(cls, residuals) -> "StandardizedSample":
-        """Wrap an already standardized residual matrix (used by simulations)."""
+        """Wrap already standardized residuals (a hand-built sample) with identity pieces."""
         y = as_data_matrix(residuals)
         d = y.shape[1]
         return cls(residuals=y, mean=np.zeros(d), covariance=np.eye(d), inv_sqrt=np.eye(d))
+
+
+def _whitenable(data) -> np.ndarray:
+    """:func:`as_data_matrix` plus the n >= d+1 rule of every whitened statistic."""
+    x = as_data_matrix(data)
+    n, d = x.shape
+    if n < d + 1:
+        raise ValueError(f"need at least d+1={d + 1} observations, got {n}")
+    return x
 
 
 def scaled_residuals(data, rel_tol: float = 1e-12) -> StandardizedSample:
@@ -127,23 +138,4 @@ def scaled_residuals(data, rel_tol: float = 1e-12) -> StandardizedSample:
     Requires n >= d+1, which makes the covariance invertible almost surely
     for absolutely continuous data.
     """
-    x = as_data_matrix(data)
-    n, d = x.shape
-    if n < d + 1:
-        raise ValueError(f"need at least d+1={d + 1} observations, got {n}")
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / n
-    cov = 0.5 * (cov + cov.T)
-    inv_sqrt = spd_inverse_sqrt(cov, rel_tol=rel_tol)
-    return StandardizedSample(residuals=xc @ inv_sqrt, mean=mean, covariance=cov, inv_sqrt=inv_sqrt)
-
-
-def _residual_matrix(x: np.ndarray) -> np.ndarray:
-    # Fast path for Monte Carlo loops: no validation, no dataclass.
-    xc = x - x.mean(axis=0)
-    cov = xc.T @ xc / x.shape[0]
-    w, q = np.linalg.eigh(cov)
-    if w[0] <= 1e-12 * w[-1]:
-        raise SingularCovariance("singular covariance in simulated sample")
-    return xc @ ((q * w**-0.5) @ q.T)
+    return StandardizedSample(*_whiten(_whitenable(data), rel_tol))

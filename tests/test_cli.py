@@ -174,6 +174,13 @@ class TestCritTable:
         assert capsys.readouterr().err.startswith("error: --resume needs --format json")
         assert not out.exists()
 
+    def test_resume_needs_output(self, capsys):
+        args = ["crit-table", "--d", "1", "--n", "12", "--a", "1.0", "--reps", "100",
+                "--format", "json", "--resume", "--workers", "1"]
+        assert main(args) == 1
+        # refused before any cell: no progress line precedes the error
+        assert capsys.readouterr().err.startswith("error: --resume needs --output")
+
 
 class TestPowerCommand:
     def test_small_study(self, tmp_path):

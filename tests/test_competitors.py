@@ -228,6 +228,11 @@ class TestSpecParsing:
             CompetitorSpec("hv", 2.0)
         with pytest.raises(ValueError):
             CompetitorSpec("nope")
+        # a tuning of exactly 0 is checked as given, not as the default
+        for text, message in [("bhep:0", "a > 0"), ("hjg:0", "beta > 1"), ("hv:0", "gamma > 2"),
+                              ("be:0", "a > 0")]:
+            with pytest.raises(ValueError, match=message):
+                parse_competitor(text)
 
     def test_evaluate_dispatch(self):
         x = make_rng(12).normal(size=(20, 1))

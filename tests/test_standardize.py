@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,57 +7,58 @@ from hypothesis import strategies as st
 
 from normtest import (
     SingularCovariance,
+    evaluate,
     load_csv,
-    sample_covariance,
-    sample_mean,
+    nulldist,
+    parallel,
+    power,
     scaled_residuals,
     spd_inverse_sqrt,
     t_statistic,
 )
+from normtest.competitors import parse_competitor
+from normtest.samplers import parse_spec, sample
 from conftest import make_rng, random_invertible, random_spd
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestSampleMean:
+    """The ``mean`` field of :func:`scaled_residuals`."""
+
     def test_two_point(self):
-        assert sample_mean([[0.0], [2.0]]) == pytest.approx([1.0])
+        assert scaled_residuals([[0.0], [2.0]]).mean == pytest.approx([1.0])
 
     def test_columns(self):
-        np.testing.assert_allclose(sample_mean([[1, 2], [3, 4], [5, 6]]), [3.0, 4.0])
-
-    def test_constant(self):
-        data = np.full((7, 3), 2.5)
-        np.testing.assert_allclose(sample_mean(data), [2.5, 2.5, 2.5])
+        np.testing.assert_allclose(scaled_residuals([[1, 2], [3, 5], [5, 5]]).mean, [3.0, 4.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            sample_mean(np.empty((0, 2)))
+            scaled_residuals(np.empty((0, 2)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            sample_mean([[1.0], [np.nan]])
+            scaled_residuals([[1.0], [np.nan]])
 
 
 class TestSampleCovariance:
+    """The divisor-n ``covariance`` field of :func:`scaled_residuals`."""
+
     def test_two_point(self):
         # divisor n: ((0-1)^2 + (2-1)^2)/2 = 1
-        np.testing.assert_allclose(sample_covariance([[0.0], [2.0]]), [[1.0]])
+        np.testing.assert_allclose(scaled_residuals([[0.0], [2.0]]).covariance, [[1.0]])
 
     def test_divisor_is_n(self):
-        np.testing.assert_allclose(sample_covariance([[-1.0], [0.0], [1.0]]), [[2.0 / 3.0]])
-
-    def test_constant_column_degenerate(self):
-        rng = make_rng(1)
-        data = np.column_stack([rng.normal(size=10), np.full(10, 3.0)])
-        s = sample_covariance(data)
-        np.testing.assert_allclose(s[1, :], 0.0, atol=1e-14)
-        np.testing.assert_allclose(s[:, 1], 0.0, atol=1e-14)
+        np.testing.assert_allclose(
+            scaled_residuals([[-1.0], [0.0], [1.0]]).covariance, [[2.0 / 3.0]]
+        )
 
     def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            sample_covariance([[1.0]])
+        with pytest.raises(ValueError, match="d\\+1"):
+            scaled_residuals([[1.0]])
 
     def test_symmetric(self):
-        s = sample_covariance(make_rng(2).normal(size=(20, 4)))
+        s = scaled_residuals(make_rng(2).normal(size=(20, 4))).covariance
         np.testing.assert_array_equal(s, s.T)
 
 
@@ -121,9 +124,11 @@ class TestScaledResiduals:
             scaled_residuals(np.eye(3)[:2])
 
     def test_duplicated_points_singular(self):
-        row = np.array([1.0, 2.0])
-        with pytest.raises(SingularCovariance):
-            scaled_residuals(np.tile(row, (5, 1)))
+        duplicated = np.tile(np.array([1.0, 2.0]), (5, 1))
+        constant_column = np.column_stack([make_rng(1).normal(size=10), np.full(10, 3.0)])
+        for data in (duplicated, constant_column):
+            with pytest.raises(SingularCovariance):
+                scaled_residuals(data)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -159,3 +164,28 @@ class TestCsv:
 
         iris = load_csv(pathlib.Path(__file__).parent / "data" / "iris.csv", header=True)
         assert iris.shape == (150, 4)
+
+
+class TestOneWhitening:
+    """Monte Carlo replications whiten with exactly the operations of the public path."""
+
+    @pytest.mark.parametrize("n,d", [(20, 2), (50, 3), (30, 5)])
+    def test_null_replication_matches_public_path(self, n, d):
+        for i in range(20):
+            draw = parallel.substream(321, i).standard_normal((n, d))
+            public = t_statistic(scaled_residuals(draw), 1.5).scaled
+            assert nulldist._null_replication(parallel.substream(321, i), d, n, 1.5) == public
+
+    @pytest.mark.parametrize("comp", ["bhep:0.5", "hv:5", "hjg:1.5"])
+    def test_competitor_replication_matches_evaluate(self, comp):
+        spec = parse_competitor(comp)
+        for alt in (parse_spec("std"), parse_spec("mt:nu=5")):
+            for i in range(4):
+                draw = sample(alt, 50, parallel.substream(7, i), d=2)
+                got = power._comp_rep(parallel.substream(7, i), alt, 50, 2, spec)
+                assert got == evaluate(spec, draw)
+
+    def test_eigh_only_in_standardize(self):
+        files = [*(ROOT / "src" / "normtest").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+        counts = {f.name: f.read_text().count("linalg.eigh(") for f in files}
+        assert len(files) > 3 and {k: v for k, v in counts.items() if v} == {"standardize.py": 1}
