@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ class TestSampleCovariance:
         np.testing.assert_allclose(
             scaled_residuals([[-1.0], [0.0], [1.0]]).covariance, [[2.0 / 3.0]]
         )
+
+    def test_constant_column_degenerate(self):
+        # A constant column zeroes a row and a column of the covariance, so its
+        # smallest eigenvalue is 0 and the sample is refused as singular.
+        data = np.column_stack([make_rng(1).normal(size=10), np.full(10, 3.0)])
+        with pytest.raises(SingularCovariance) as err:
+            scaled_residuals(data)
+        low, high = map(float, re.search(r"eigenvalues in \[(\S+), (\S+)\]", str(err.value)).groups())
+        assert abs(low) <= 1e-14
+        assert high == pytest.approx(np.var(data[:, 0]), rel=1e-3)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="d\\+1"):
@@ -124,11 +135,9 @@ class TestScaledResiduals:
             scaled_residuals(np.eye(3)[:2])
 
     def test_duplicated_points_singular(self):
-        duplicated = np.tile(np.array([1.0, 2.0]), (5, 1))
-        constant_column = np.column_stack([make_rng(1).normal(size=10), np.full(10, 3.0)])
-        for data in (duplicated, constant_column):
-            with pytest.raises(SingularCovariance):
-                scaled_residuals(data)
+        row = np.array([1.0, 2.0])
+        with pytest.raises(SingularCovariance):
+            scaled_residuals(np.tile(row, (5, 1)))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
