@@ -17,14 +17,13 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import power as power_mod
 from .competitors import parse_competitor
 from .inference import confidence_interval, delta_estimate, validation_test
 from .nulldist import (
     CriticalValueTable,
     LimitSamplerConfig,
+    _pvalue,
     critical_value,
     limit_quantile,
     mc_null_sample,
@@ -92,10 +91,6 @@ def _add_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--header", action="store_true", help="skip a header line")
 
 
-def _workers(args) -> int | None:
-    return None if args.workers == 0 else args.workers
-
-
 def cmd_test(args) -> int:
     _check_run_config(args)
     data = load_csv(args.input, delimiter=args.delimiter, header=args.header)
@@ -105,10 +100,10 @@ def cmd_test(args) -> int:
         stat = t_statistic(sample, a)
         _progress(f"simulating null for a={a:g} ({args.reps} replications)")
         null = mc_null_sample(
-            sample.d, sample.n, a, args.reps, args.seed, workers=_workers(args), progress=True,
+            sample.d, sample.n, a, args.reps, args.seed, workers=args.workers, progress=True,
             checkpoint=_cell_checkpoint(args, "test", sample.d, sample.n, a, args.seed),
         )
-        pval = (1.0 + float(np.sum(null >= stat.scaled))) / (args.reps + 1.0)
+        pval = _pvalue(null, stat.scaled)
         crit = critical_value(null, args.alpha)
         rows.append(
             {
@@ -175,7 +170,7 @@ def cmd_crit_table(args) -> int:
                     q = limit_quantile(d, a, args.alpha, cfg)
                 else:
                     q = power_mod.t_critical_value(
-                        d, int(n), a, args.alpha, args.reps, args.seed, workers=_workers(args),
+                        d, int(n), a, args.alpha, args.reps, args.seed, workers=args.workers,
                         checkpoint=_cell_checkpoint(args, "crit", d, int(n), a, args.seed),
                         progress=True,
                     )
@@ -210,7 +205,7 @@ def cmd_power(args) -> int:
         args.reps,
         args.seed,
         crit_replications=args.crit_reps,
-        workers=_workers(args),
+        workers=args.workers,
         progress=_progress,
     )
     header = ["alternative"] + columns

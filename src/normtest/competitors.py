@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -23,39 +24,35 @@ from scipy.special import ndtr, ndtri
 from .standardize import StandardizedSample, _whiten, _whitenable, as_data_matrix
 from .statistic import _pairwise_sum, check_tuning, mardia_skewness, mrs_skewness
 
-KINDS = ("bhep", "hjg", "hv", "hv_inf", "bcmr", "be")
-
 
 @dataclass(frozen=True)
 class CompetitorSpec:
-    """A competitor statistic plus its tuning constant (where applicable)."""
+    """A competitor statistic plus its tuning constant, defaulted for a kind that takes one."""
 
     kind: str
     tuning: float | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _TABLE:
             raise ValueError(f"unknown competitor {self.kind!r}; choose from {KINDS}")
-        if self.kind in _TUNING_BOUND:
-            name, bound = _TUNING_BOUND[self.kind]
-            value = _DEFAULT_TUNING[self.kind] if self.tuning is None else self.tuning
-            if not value > bound:
+        row = _TABLE[self.kind]
+        if row.bound is not None:
+            if self.tuning is None:
+                object.__setattr__(self, "tuning", row.default)
+            name, bound = row.bound
+            if not self.tuning > bound:
                 raise ValueError(f"{self.kind} requires {name} > {bound:g}")
 
     def label(self) -> str:
         return self.kind if self.tuning is None else f"{self.kind}:{self.tuning:g}"
 
 
-_DEFAULT_TUNING = {"bhep": 1.0, "hjg": 1.5, "hv": 5.0, "be": 1.0}
-_TUNING_BOUND = {"bhep": ("a", 0.0), "hjg": ("beta", 1.0), "hv": ("gamma", 2.0), "be": ("a", 0.0)}
-
-
 def parse_competitor(text: str) -> CompetitorSpec:
     """Parse strings like ``bhep:0.5``, ``hv:5``, ``hvinf``, ``bcmr``."""
     head, sep, rest = text.strip().lower().partition(":")
     head = {"hvinf": "hv_inf"}.get(head, head)
-    tuning = float(rest) if sep and rest else _DEFAULT_TUNING.get(head)
-    if head in ("hv_inf", "bcmr"):
+    tuning = float(rest) if sep and rest else None
+    if head in _TABLE and _TABLE[head].bound is None:
         tuning = None
     return CompetitorSpec(kind=head, tuning=tuning)
 
@@ -194,16 +191,30 @@ def be(sample: StandardizedSample, a: float) -> float:
     return 2.0 / n * float(np.sum(pair)) + float(np.mean(single))
 
 
-_ON_SAMPLE = {"bhep": bhep, "hjg": hjg, "hv": hv, "hv_inf": lambda s, _: hv_inf(s), "be": be}
+class _Kind(NamedTuple):
+    seed_id: int  # enters every competitor cell's seed key: part of the reproducibility contract
+    default: float | None  # tuning used when none is given
+    bound: tuple[str, float] | None  # (name, strict lower bound) of the tuning; None: takes none
+    statistic: Callable[[np.ndarray, float | None], float]  # of a float (n, d) matrix, not validated
+
+
+def _std(x: np.ndarray) -> StandardizedSample:
+    return StandardizedSample(*_whiten(x))
+
+
+# The one per-kind table: validation, defaults, seeds and dispatch all read it.
+_TABLE = {
+    "bhep": _Kind(10, 1.0, ("a", 0.0), lambda x, a: bhep(_std(x), a)),
+    "hjg": _Kind(11, 1.5, ("beta", 1.0), lambda x, beta: hjg(_std(x), beta)),
+    "hv": _Kind(12, 5.0, ("gamma", 2.0), lambda x, gamma: hv(_std(x), gamma)),
+    "hv_inf": _Kind(13, None, None, lambda x, _: hv_inf(_std(x))),
+    "bcmr": _Kind(14, None, None, lambda x, _: bcmr(x)),
+    "be": _Kind(15, 1.0, ("a", 0.0), lambda x, a: be(_std(x), a)),
+}
+KINDS = tuple(_TABLE)
 
 
 def evaluate(spec: CompetitorSpec, data) -> float:
     """Evaluate a competitor on a raw data matrix (standardizing as needed)."""
-    return _evaluate(spec, as_data_matrix(data) if spec.kind == "bcmr" else _whitenable(data))
-
-
-def _evaluate(spec: CompetitorSpec, x: np.ndarray) -> float:
-    # Monte Carlo entry: x is a float (n, d) matrix and is not validated.
-    if spec.kind == "bcmr":
-        return bcmr(x)
-    return _ON_SAMPLE[spec.kind](StandardizedSample(*_whiten(x)), spec.tuning)
+    x = as_data_matrix(data) if spec.kind == "bcmr" else _whitenable(data)
+    return _TABLE[spec.kind].statistic(x, spec.tuning)

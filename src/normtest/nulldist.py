@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import parallel
+from .competitors import _TABLE, CompetitorSpec
+from .samplers import AlternativeSpec, sample
 from .standardize import _whiten
 from .statistic import StatisticValue, _scaled_t, check_tuning, scaling_factor
 
@@ -101,8 +103,18 @@ def expected_limit(d: int, a: float) -> float:
     )
 
 
-def _null_replication(rng: np.random.Generator, d: int, n: int, a: float) -> float:
-    return _scaled_t(_whiten(rng.standard_normal((n, d)))[0], a)
+_NULL = AlternativeSpec("std")
+
+
+def _rep(
+    rng: np.random.Generator, alt: AlternativeSpec, n: int, d: int, column: float | CompetitorSpec
+) -> float:
+    """Every Monte Carlo replication: ``column`` (T at a float ``a``, or a competitor)
+    on one draw from ``alt``, which is ``_NULL`` for a null distribution."""
+    x = sample(alt, n, rng, d=d)
+    if isinstance(column, CompetitorSpec):
+        return _TABLE[column.kind].statistic(x, column.tuning)
+    return _scaled_t(_whiten(x)[0], column)
 
 
 def mc_null_sample(
@@ -126,10 +138,10 @@ def mc_null_sample(
         raise ValueError(f"need n >= d+1, got n={n}, d={d}")
     meta = f"null d={d} n={n} a={a!r} R={replications} seed={seed}"
     vals = parallel.map_replications(
-        _null_replication,
+        _rep,
         replications,
         seed,
-        args=(d, n, a),
+        args=(_NULL, n, d, a),
         workers=workers,
         checkpoint=checkpoint,
         checkpoint_meta=meta,
@@ -166,9 +178,12 @@ def pvalue_mc(
     ``observed`` is compared on the scaled statistic.
     """
     obs = observed.scaled if isinstance(observed, StatisticValue) else float(observed)
-    vals = mc_null_sample(d, n, a, replications, seed, workers=workers, progress=progress)
-    count = int(np.sum(vals >= obs))
-    return (1.0 + count) / (replications + 1.0)
+    return _pvalue(mc_null_sample(d, n, a, replications, seed, workers=workers, progress=progress), obs)
+
+
+def _pvalue(null: np.ndarray, observed: float) -> float:
+    """(1 + #{null >= observed}) / (R + 1) for a null sample of R replicates."""
+    return (1.0 + int(np.sum(null >= observed))) / (null.size + 1.0)
 
 
 @dataclass(frozen=True)

@@ -12,23 +12,31 @@ from __future__ import annotations
 import numpy as np
 
 from . import parallel
-from .competitors import CompetitorSpec, _evaluate
-from .nulldist import critical_value, mc_null_sample
+from .competitors import _TABLE, CompetitorSpec
+from .nulldist import _NULL, _rep, critical_value, mc_null_sample
 from .parallel import ALT, CRIT, derive_seed, float_key
-from .samplers import AlternativeSpec, sample
-from .standardize import _whiten
-from .statistic import _scaled_t
+from .samplers import AlternativeSpec
 
 
-def _alt_t_rep(rng: np.random.Generator, spec: AlternativeSpec, n: int, d: int, a: float) -> float:
-    x = sample(spec, n, rng, d=d)
-    return _scaled_t(_whiten(x)[0], a)
+def _cell_seed(seed: int, purpose: int, d: int, n: int, column: float | CompetitorSpec) -> int:
+    """A study cell's seed; its key layouts are part of the reproducibility contract:
+    (purpose, d, n, float_key(a)) for T at ``a``, (purpose, d, n, kind id, tuning) for a competitor."""
+    if isinstance(column, CompetitorSpec):
+        tuning = float_key(column.tuning) if column.tuning is not None else 0
+        key = (_TABLE[column.kind].seed_id, tuning)
+    else:
+        key = (float_key(column),)
+    return derive_seed(seed, purpose, d, n, *key)
 
 
-def _comp_rep(
-    rng: np.random.Generator, spec: AlternativeSpec, n: int, d: int, comp: CompetitorSpec
-) -> float:
-    return _evaluate(comp, sample(spec, n, rng, d=d))
+def _replicates(
+    purpose: int, alt: AlternativeSpec, d: int, n: int, column: float | CompetitorSpec,
+    replications: int, seed: int, workers,
+) -> np.ndarray:
+    return parallel.map_replications(
+        _rep, replications, _cell_seed(seed, purpose, d, n, column), args=(alt, n, d, column),
+        workers=workers,
+    )
 
 
 def t_critical_value(
@@ -36,7 +44,7 @@ def t_critical_value(
     checkpoint: str | None = None, progress: bool = False,
 ) -> float:
     vals = mc_null_sample(
-        d, n, a, replications, derive_seed(seed, CRIT, d, n, float_key(a)),
+        d, n, a, replications, _cell_seed(seed, CRIT, d, n, a),
         workers=workers, checkpoint=checkpoint, progress=progress,
     )
     return critical_value(vals, alpha)
@@ -45,62 +53,21 @@ def t_critical_value(
 def competitor_critical_value(
     comp: CompetitorSpec, d: int, n: int, alpha: float, replications: int, seed: int, *, workers=1
 ) -> float:
-    tuning = float_key(comp.tuning) if comp.tuning is not None else 0
-    vals = parallel.map_replications(
-        _comp_rep,
-        replications,
-        derive_seed(seed, CRIT, d, n, KINDS_ID[comp.kind], tuning),
-        args=(AlternativeSpec("std"), n, d, comp),
-        workers=workers,
-    )
-    return critical_value(vals, alpha)
-
-
-KINDS_ID = {"bhep": 10, "hjg": 11, "hv": 12, "hv_inf": 13, "bcmr": 14, "be": 15}
+    return critical_value(_replicates(CRIT, _NULL, d, n, comp, replications, seed, workers), alpha)
 
 
 def t_power(
-    alt: AlternativeSpec,
-    d: int,
-    n: int,
-    a: float,
-    crit: float,
-    replications: int,
-    seed: int,
-    *,
-    workers=1,
+    alt: AlternativeSpec, d: int, n: int, a: float, crit: float, replications: int, seed: int, *, workers=1
 ) -> float:
     """Rejection rate of the main statistic against ``alt`` at a fixed critical value."""
-    vals = parallel.map_replications(
-        _alt_t_rep,
-        replications,
-        derive_seed(seed, ALT, d, n, float_key(a)),
-        args=(alt, n, d, a),
-        workers=workers,
-    )
-    return float(np.mean(vals > crit))
+    return float(np.mean(_replicates(ALT, alt, d, n, a, replications, seed, workers) > crit))
 
 
 def competitor_power(
-    alt: AlternativeSpec,
-    comp: CompetitorSpec,
-    d: int,
-    n: int,
-    crit: float,
-    replications: int,
-    seed: int,
-    *,
-    workers=1,
+    alt: AlternativeSpec, comp: CompetitorSpec, d: int, n: int, crit: float, replications: int, seed: int,
+    *, workers=1,
 ) -> float:
-    tuning = float_key(comp.tuning) if comp.tuning is not None else 0
-    vals = parallel.map_replications(
-        _comp_rep,
-        replications,
-        derive_seed(seed, ALT, d, n, KINDS_ID[comp.kind], tuning),
-        args=(alt, n, d, comp),
-        workers=workers,
-    )
-    return float(np.mean(vals > crit))
+    return float(np.mean(_replicates(ALT, alt, d, n, comp, replications, seed, workers) > crit))
 
 
 def power_matrix(

@@ -240,3 +240,9 @@ class TestSpecParsing:
         s = scaled_residuals(x)
         assert evaluate(CompetitorSpec("bhep", 1.0), x) == pytest.approx(bhep(s, 1.0))
         assert evaluate(CompetitorSpec("be", 1.0), x) == pytest.approx(be(s, 1.0))
+
+    @pytest.mark.parametrize("kind,default", [("bhep", 1.0), ("hjg", 1.5), ("hv", 5.0), ("be", 1.0)])
+    def test_spec_without_tuning_uses_the_default(self, kind, default):
+        x = make_rng(13).normal(size=(20, 1 if kind == "be" else 2))
+        assert CompetitorSpec(kind) == CompetitorSpec(kind, default)
+        assert evaluate(CompetitorSpec(kind), x) == evaluate(CompetitorSpec(kind, default), x)

@@ -3,7 +3,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from normtest import parallel
+from normtest import parallel, power
+from normtest.competitors import parse_competitor
 from normtest.samplers import parse_spec, sample
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -57,6 +58,30 @@ class TestSeedingContract:
         files = [*(ROOT / "src" / "normtest").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
         offenders = [f.name for f in files if f.name != "parallel.py" and "SeedSequence(" in f.read_text()]
         assert len(files) > 3 and offenders == []
+
+
+class TestPowerSeedLayout:
+    """Frozen power_matrix rows: they pin the (CRIT|ALT, d, n, a) and
+    (CRIT|ALT, d, n, kind id, tuning) cell keys of every power column."""
+
+    def test_multivariate_columns(self):
+        alts = [parse_spec(s) for s in ("std", "mt:nu=5", "nmix:p=0.1,mu=3,sigma=I", "prod:uniform")]
+        comps = [parse_competitor(s) for s in ("bhep:0.5", "hv:5", "hjg:1.5", "hvinf")]
+        columns, rows = power.power_matrix(alts, 2, 20, [0.5, 2.0], comps, 0.05, 60, 11, crit_replications=120)
+        assert columns == ["t:0.5", "t:2", "bhep:0.5", "hv:5", "hjg:1.5", "hv_inf"]
+        assert rows == [
+            [11.666666666666666, 1.6666666666666667, 1.6666666666666667, 0.0, 3.3333333333333335, 6.666666666666667],
+            [50.0, 36.666666666666664, 26.666666666666668, 20.0, 36.666666666666664, 20.0],
+            [38.333333333333336, 40.0, 50.0, 21.666666666666668, 33.33333333333333, 31.666666666666664],
+            [1.6666666666666667, 0.0, 1.6666666666666667, 0.0, 0.0, 0.0],
+        ]
+
+    def test_univariate_columns(self):
+        alts = [parse_spec(s) for s in ("std", "t:nu=3", "uniform")]
+        comps = [parse_competitor(s) for s in ("bcmr", "be")]
+        columns, rows = power.power_matrix(alts, 1, 15, [1.0], comps, 0.05, 40, 5, crit_replications=80)
+        assert columns == ["t:1", "bcmr", "be:1"]
+        assert rows == [[10.0, 0.0, 10.0], [55.00000000000001, 42.5, 42.5], [7.5, 7.5, 2.5]]
 
 
 class TestCheckpoint:

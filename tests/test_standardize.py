@@ -12,7 +12,6 @@ from normtest import (
     load_csv,
     nulldist,
     parallel,
-    power,
     scaled_residuals,
     spd_inverse_sqrt,
     t_statistic,
@@ -183,7 +182,7 @@ class TestOneWhitening:
         for i in range(20):
             draw = parallel.substream(321, i).standard_normal((n, d))
             public = t_statistic(scaled_residuals(draw), 1.5).scaled
-            assert nulldist._null_replication(parallel.substream(321, i), d, n, 1.5) == public
+            assert nulldist._rep(parallel.substream(321, i), parse_spec("std"), n, d, 1.5) == public
 
     @pytest.mark.parametrize("comp", ["bhep:0.5", "hv:5", "hjg:1.5"])
     def test_competitor_replication_matches_evaluate(self, comp):
@@ -191,10 +190,14 @@ class TestOneWhitening:
         for alt in (parse_spec("std"), parse_spec("mt:nu=5")):
             for i in range(4):
                 draw = sample(alt, 50, parallel.substream(7, i), d=2)
-                got = power._comp_rep(parallel.substream(7, i), alt, 50, 2, spec)
+                got = nulldist._rep(parallel.substream(7, i), alt, 50, 2, spec)
                 assert got == evaluate(spec, draw)
 
     def test_eigh_only_in_standardize(self):
         files = [*(ROOT / "src" / "normtest").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
         counts = {f.name: f.read_text().count("linalg.eigh(") for f in files}
         assert len(files) > 3 and {k: v for k, v in counts.items() if v} == {"standardize.py": 1}
+
+    def test_one_replication_path_in_power(self):
+        text = (ROOT / "src" / "normtest" / "power.py").read_text()
+        assert text.count("map_replications(") == 1 and text.count("derive_seed(") == 1
