@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 from .standardize import StandardizedSample, _whiten, _whitenable, as_data_matrix
-from .statistic import _pairwise_sum, check_tuning, mardia_skewness, mrs_skewness
+from .statistic import _mardia_skewness, _mrs_skewness, _pairwise_sum, check_tuning
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,10 @@ class CompetitorSpec:
         if self.kind not in _TABLE:
             raise ValueError(f"unknown competitor {self.kind!r}; choose from {KINDS}")
         row = _TABLE[self.kind]
-        if row.bound is not None:
+        if row.bound is None:
+            if self.tuning is not None:
+                raise ValueError(f"{self.kind} takes no tuning, got {self.tuning!r}")
+        else:
             if self.tuning is None:
                 object.__setattr__(self, "tuning", row.default)
             name, bound = row.bound
@@ -59,14 +62,17 @@ def parse_competitor(text: str) -> CompetitorSpec:
 
 def bhep(sample: StandardizedSample, a: float) -> float:
     """ECF-based statistic with Gaussian smoothing parameter a > 0."""
-    a = check_tuning(a)
-    y = sample.residuals
-    n, d = y.shape
-    r = np.einsum("ij,ij->i", y, y)
+    return float(_bhep(sample.residuals, check_tuning(a)))
+
+
+def _bhep(y: np.ndarray, a: float) -> np.ndarray:
+    """:func:`bhep` of each slice of a (..., n, d) residual stack."""
+    n, d = y.shape[-2:]
+    r = np.einsum("...ij,...ij->...i", y, y)
 
     def kernel(g, rj, rk):
         g *= -2.0
-        g += rj[:, None] + rk[None, :]  # ||Y_j - Y_k||^2
+        g += rj[..., :, None] + rk[..., None, :]  # ||Y_j - Y_k||^2
         np.maximum(g, 0.0, out=g)
         g *= -0.5 * a * a
         return np.exp(g, out=g)
@@ -75,7 +81,7 @@ def bhep(sample: StandardizedSample, a: float) -> float:
     term2 = (
         2.0
         * (1.0 + a * a) ** (-d / 2.0)
-        * float(np.mean(np.exp(-0.5 * a * a * r / (1.0 + a * a))))
+        * np.mean(np.exp(-0.5 * a * a * r / (1.0 + a * a)), axis=-1)
     )
     term3 = (1.0 + 2.0 * a * a) ** (-d / 2.0)
     return term1 - term2 + term3
@@ -89,51 +95,67 @@ def hjg(sample: StandardizedSample, beta: float) -> float:
     """
     if beta <= 1.0:
         raise ValueError("hjg requires beta > 1")
-    y = sample.residuals
-    n, d = y.shape
-    r = np.einsum("ij,ij->i", y, y)
-    rmax = float(r[r.argmax()])  # cheaper than r.max() at small n
+    return float(_hjg(sample.residuals, beta))
+
+
+def _hjg(y: np.ndarray, beta: float) -> np.ndarray:
+    """:func:`hjg` of each slice of a (..., n, d) residual stack."""
+    n, d = y.shape[-2:]
+    r = np.einsum("...ij,...ij->...i", y, y)
+    rmax = r.max(axis=-1)
     c = rmax / beta
 
     def kernel(g, rj, rk):
         g *= 2.0
-        g += (rj - 4.0 * rmax)[:, None] + rk[None, :]  # ||Y_j + Y_k||^2 - 4 rmax
+        g += (rj - 4.0 * rmax[..., None])[..., :, None] + rk[..., None, :]  # ||Y_j + Y_k||^2 - 4 rmax
         g /= 4.0 * beta
         return np.exp(g, out=g)
 
     term1 = _pairwise_sum(y, r, kernel) / (n * beta ** (d / 2.0))
-    term2 = 2.0 * (beta - 0.5) ** (-d / 2.0) * float(np.exp(r / (4.0 * beta - 2.0) - c).sum())
-    term3 = n * (beta - 1.0) ** (-d / 2.0) * math.exp(-c)
-    return float((term1 - term2 + term3) * np.exp(c))
+    term2 = 2.0 * (beta - 0.5) ** (-d / 2.0) * np.exp(r / (4.0 * beta - 2.0) - c[..., None]).sum(axis=-1)
+    # libm's exp, one slice at a time: np.exp differs from it in the last bit
+    # for a few percent of arguments, and the tabulated values use libm's.
+    exp_minus_c = np.array([math.exp(-v) for v in c.flat]).reshape(c.shape)
+    term3 = n * (beta - 1.0) ** (-d / 2.0) * exp_minus_c
+    return (term1 - term2 + term3) * np.exp(c)
 
 
 def hv(sample: StandardizedSample, gamma: float) -> float:
     """MGF differential-characterization statistic; gamma > 2; scaled as in :func:`hjg`."""
     if gamma <= 2.0:
         raise ValueError("hv requires gamma > 2")
-    y = sample.residuals
-    n, d = y.shape
-    r = np.einsum("ij,ij->i", y, y)
-    rmax = float(r[r.argmax()])
+    return float(_hv(sample.residuals, gamma))
+
+
+def _hv(y: np.ndarray, gamma: float) -> np.ndarray:
+    """:func:`hv` of each slice of a (..., n, d) residual stack."""
+    n, d = y.shape[-2:]
+    r = np.einsum("...ij,...ij->...i", y, y)
+    rmax = r.max(axis=-1)
     coef = 1.0 / (4.0 * gamma * gamma) - 1.0 / (2.0 * gamma)
 
     def kernel(g, rj, rk):
-        ssq = (rj - 4.0 * rmax)[:, None] + rk[None, :]
+        ssq = (rj - 4.0 * rmax[..., None])[..., :, None] + rk[..., None, :]
         ssq += 2.0 * g  # ||Y_j + Y_k||^2 - 4 rmax
         g += ssq * coef
-        g += 4.0 * rmax * coef + d / (2.0 * gamma)
+        g += (4.0 * rmax * coef + d / (2.0 * gamma))[..., None, None]
         ssq /= 4.0 * gamma
         np.exp(ssq, out=ssq)
         ssq *= g
         return ssq
 
     scaled = (np.pi / gamma) ** (d / 2.0) / n * _pairwise_sum(y, r, kernel)
-    return float(scaled * np.exp(rmax / gamma))
+    return scaled * np.exp(rmax / gamma)
 
 
 def hv_inf(sample: StandardizedSample) -> float:
     """Skewness combination 2 b_1 + 3 b~_1, the gamma -> infinity limit of hv."""
-    return 2.0 * mardia_skewness(sample) + 3.0 * mrs_skewness(sample)
+    return float(_hv_inf(sample.residuals))
+
+
+def _hv_inf(y: np.ndarray) -> np.ndarray:
+    """:func:`hv_inf` of each slice of a (..., n, d) residual stack."""
+    return 2.0 * _mardia_skewness(y) + 3.0 * _mrs_skewness(y)
 
 
 def _phi(x: float) -> float:
@@ -195,21 +217,29 @@ class _Kind(NamedTuple):
     seed_id: int  # enters every competitor cell's seed key: part of the reproducibility contract
     default: float | None  # tuning used when none is given
     bound: tuple[str, float] | None  # (name, strict lower bound) of the tuning; None: takes none
-    statistic: Callable[[np.ndarray, float | None], float]  # of a float (n, d) matrix, not validated
+    # One value per slice of a float (..., n, d) stack of raw samples, not validated.
+    statistic: Callable[[np.ndarray, float | None], np.ndarray]
 
 
-def _std(x: np.ndarray) -> StandardizedSample:
-    return StandardizedSample(*_whiten(x))
+def _per_slice(fn):
+    """Lift a statistic of one (n, d) matrix to a (..., n, d) stack, slice by slice."""
+
+    def stacked(x: np.ndarray, tuning: float | None) -> np.ndarray:
+        values = [fn(s, tuning) for s in x.reshape(-1, *x.shape[-2:])]
+        return np.array(values).reshape(x.shape[:-2])
+
+    return stacked
 
 
 # The one per-kind table: validation, defaults, seeds and dispatch all read it.
 _TABLE = {
-    "bhep": _Kind(10, 1.0, ("a", 0.0), lambda x, a: bhep(_std(x), a)),
-    "hjg": _Kind(11, 1.5, ("beta", 1.0), lambda x, beta: hjg(_std(x), beta)),
-    "hv": _Kind(12, 5.0, ("gamma", 2.0), lambda x, gamma: hv(_std(x), gamma)),
-    "hv_inf": _Kind(13, None, None, lambda x, _: hv_inf(_std(x))),
-    "bcmr": _Kind(14, None, None, lambda x, _: bcmr(x)),
-    "be": _Kind(15, 1.0, ("a", 0.0), lambda x, a: be(_std(x), a)),
+    "bhep": _Kind(10, 1.0, ("a", 0.0), lambda x, a: _bhep(_whiten(x)[0], a)),
+    "hjg": _Kind(11, 1.5, ("beta", 1.0), lambda x, beta: _hjg(_whiten(x)[0], beta)),
+    "hv": _Kind(12, 5.0, ("gamma", 2.0), lambda x, gamma: _hv(_whiten(x)[0], gamma)),
+    "hv_inf": _Kind(13, None, None, lambda x, _: _hv_inf(_whiten(x)[0])),
+    # univariate, so one slice at a time
+    "bcmr": _Kind(14, None, None, _per_slice(lambda x, _: bcmr(x))),
+    "be": _Kind(15, 1.0, ("a", 0.0), _per_slice(lambda x, a: be(StandardizedSample(*_whiten(x)), a))),
 }
 KINDS = tuple(_TABLE)
 
@@ -217,4 +247,4 @@ KINDS = tuple(_TABLE)
 def evaluate(spec: CompetitorSpec, data) -> float:
     """Evaluate a competitor on a raw data matrix (standardizing as needed)."""
     x = as_data_matrix(data) if spec.kind == "bcmr" else _whitenable(data)
-    return _TABLE[spec.kind].statistic(x, spec.tuning)
+    return float(_TABLE[spec.kind].statistic(x, spec.tuning))

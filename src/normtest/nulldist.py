@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import parallel
+from . import parallel, statistic
 from .competitors import _TABLE, CompetitorSpec
 from .samplers import AlternativeSpec, sample
 from .standardize import _whiten
@@ -107,14 +107,25 @@ _NULL = AlternativeSpec("std")
 
 
 def _rep(
-    rng: np.random.Generator, alt: AlternativeSpec, n: int, d: int, column: float | CompetitorSpec
-) -> float:
+    rngs: list[np.random.Generator], alt: AlternativeSpec, n: int, d: int, column: float | CompetitorSpec
+) -> np.ndarray:
     """Every Monte Carlo replication: ``column`` (T at a float ``a``, or a competitor)
-    on one draw from ``alt``, which is ``_NULL`` for a null distribution."""
-    x = sample(alt, n, rng, d=d)
-    if isinstance(column, CompetitorSpec):
-        return _TABLE[column.kind].statistic(x, column.tuning)
-    return _scaled_t(_whiten(x)[0], column)
+    on one draw from ``alt`` per generator, which is ``_NULL`` for a null distribution.
+
+    Replication k draws from ``rngs[k]`` only.  The draws are stacked
+    ``_BLOCK^2 // n^2`` at a time (at least one), the pairwise kernel's memory
+    budget, and each stack is whitened and evaluated at once; every value is
+    bit for bit that of the sample on its own.
+    """
+    block = max(1, statistic._BLOCK**2 // n**2)
+    out = np.empty(len(rngs))
+    for lo in range(0, len(rngs), block):
+        xs = np.stack([sample(alt, n, rng, d=d) for rng in rngs[lo : lo + block]])
+        if isinstance(column, CompetitorSpec):
+            out[lo : lo + block] = _TABLE[column.kind].statistic(xs, column.tuning)
+        else:
+            out[lo : lo + block] = _scaled_t(_whiten(xs)[0], column)
+    return out
 
 
 def mc_null_sample(

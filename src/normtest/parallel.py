@@ -3,8 +3,10 @@
 Every random stream is ``substream(seed, *key)``.  A study cell derives its
 seed as ``derive_seed(master, purpose, *cell)``; replication i then draws from
 ``substream(cell_seed, i)`` only, so the full vector of results is
-bit-for-bit identical for any worker count and any chunking.  Results are
-gathered in replication order.
+bit-for-bit identical for any worker count, any chunking and any resume.
+The unit of work is a chunk of consecutive replications: one call of the
+replication function gets the chunk's substreams, in index order, and
+returns one value per substream.  Results are gathered in replication order.
 """
 
 from __future__ import annotations
@@ -54,10 +56,7 @@ def resolve_workers(workers: int | None) -> int:
 
 
 def _run_range(fn, seed: int, lo: int, hi: int, args: tuple) -> np.ndarray:
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        out[i - lo] = fn(substream(seed, i), *args)
-    return out
+    return fn([substream(seed, i) for i in range(lo, hi)], *args)
 
 
 def _load_checkpoint(path: str, meta: str) -> np.ndarray | None:
@@ -94,9 +93,12 @@ def map_replications(
     checkpoint_meta: str = "",
     progress: bool = False,
 ) -> np.ndarray:
-    """Evaluate ``fn(rng, *args)`` over derived substreams 0..replications-1.
+    """Evaluate replications 0..replications-1, replication i on ``substream(seed, i)``.
 
-    ``fn`` must be a picklable module-level callable returning a float.
+    ``fn(rngs, *args)`` gets the substreams of one chunk of consecutive
+    replications, as a list in index order, and returns one float per
+    substream; value k must depend on ``rngs[k]`` only.  It must be a
+    picklable module-level callable.
     With ``checkpoint`` set, the completed prefix is persisted whenever it
     crosses a multiple of :data:`CHECKPOINT_EVERY` replications and at the
     end, and reused on rerun when

@@ -63,26 +63,35 @@ def spd_inverse_sqrt(s, rel_tol: float = 1e-12) -> np.ndarray:
 
 
 def _inverse_sqrt(s: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Q diag(w^{-1/2}) Q^T of each (d, d) slice of ``s``, symmetrised.
+
+    Raises :class:`SingularCovariance` for the first singular slice, with the
+    message a lone call on that slice gives.
+    """
     w, q = np.linalg.eigh(s)
-    if w[-1] <= 0.0 or w[0] <= rel_tol * w[-1]:
+    lo, hi = w[..., 0], w[..., -1]
+    singular = (hi <= 0.0) | (lo <= rel_tol * hi)
+    if singular.any():
+        k = np.flatnonzero(singular)[0]
         raise SingularCovariance(
-            f"covariance matrix is numerically singular (eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}])"
+            f"covariance matrix is numerically singular (eigenvalues in [{lo.flat[k]:.3e}, {hi.flat[k]:.3e}])"
         )
-    root = (q * w**-0.5) @ q.T
-    return 0.5 * (root + root.T)
+    root = (q * w[..., None, :] ** -0.5) @ q.swapaxes(-1, -2)
+    return 0.5 * (root + root.swapaxes(-1, -2))
 
 
 def _whiten(x: np.ndarray, rel_tol: float = 1e-12):
-    """(residuals, mean, covariance, inv_sqrt) of a float (n, d) matrix.
+    """(residuals, mean, covariance, inv_sqrt) of a float (..., n, d) stack of samples.
 
-    The one whitening rule of the package: the validated public path and the
-    Monte Carlo replications run exactly these operations, the latter on
-    their own draws without any input validation.
+    The one whitening rule of the package: the validated public path runs it
+    on one (n, d) matrix, the Monte Carlo replications on a stack of their own
+    draws without any input validation.  Each slice of a stack gets bit for
+    bit the values of a lone call on it.
     """
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / x.shape[0]
-    cov = 0.5 * (cov + cov.T)
+    mean = x.mean(axis=-2)
+    xc = x - mean[..., None, :]
+    cov = xc.swapaxes(-1, -2) @ xc / x.shape[-2]
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
     inv_sqrt = _inverse_sqrt(cov, rel_tol)
     return xc @ inv_sqrt, mean, cov, inv_sqrt
 

@@ -35,7 +35,8 @@ from .standardize import StandardizedSample
 # Block edge of the pairwise kernel: working memory is O(_BLOCK^2 + nd) for
 # every statistic built on the Gram matrix.  Read at call time.  A 256 x 256
 # block (512 KB) stays in cache through the kernel's in-place passes; at
-# n = 2000 this is about twice as fast as one n x n pass.
+# n = 2000 this is about twice as fast as one n x n pass.  The Monte Carlo
+# replications stack _BLOCK^2 // n^2 samples at a time under the same budget.
 _BLOCK = 256
 
 
@@ -70,36 +71,47 @@ def scaling_factor(d: int, a: float) -> float:
 def _pairwise_apply(y: np.ndarray, r: np.ndarray, kernel, v: np.ndarray) -> np.ndarray:
     """K @ v for the symmetric K[j, k] = kernel(Y_j . Y_k, r_j, r_k), blockwise.
 
-    ``kernel(g, rj, rk)`` maps a block of Gram entries (rows j, columns k) to
-    kernel values and may overwrite ``g``.  Diagonal Gram entries are set to
-    ``r`` exactly, so self-distances vanish exactly for every kernel.
-    Off-diagonal blocks are evaluated once and applied to both halves (j<k
-    folding).
+    ``y`` is (..., n, d), ``r`` (..., n) and ``v`` (..., n, p): leading axes
+    index a stack of samples, each with its own K.  ``kernel(g, rj, rk)`` maps
+    a block of Gram entries (rows j, columns k) to kernel values and may
+    overwrite ``g``.  Diagonal Gram entries are set to ``r`` exactly, so
+    self-distances vanish exactly for every kernel.  Off-diagonal blocks are
+    evaluated once and applied to both halves (j<k folding).  Every product
+    is a per-slice matmul, so each slice of a stack gets bit for bit the
+    values of a lone call on it.
     """
-    n, b = y.shape[0], _BLOCK
+    n, b = y.shape[-2], _BLOCK
     if n <= b:
-        g = y @ y.T
-        np.fill_diagonal(g, r)
+        g = y @ y.swapaxes(-1, -2)
+        diag = np.arange(n)
+        g[..., diag, diag] = r
         return kernel(g, r, r) @ v
     out = np.zeros(v.shape)
     for i0 in range(0, n, b):
-        yi, ri, vi = y[i0 : i0 + b], r[i0 : i0 + b], v[i0 : i0 + b]
+        yi, ri, vi = y[..., i0 : i0 + b, :], r[..., i0 : i0 + b], v[..., i0 : i0 + b, :]
         for j0 in range(i0, n, b):
-            g = yi @ y[j0 : j0 + b].T
+            g = yi @ y[..., j0 : j0 + b, :].swapaxes(-1, -2)
             if j0 == i0:
-                np.fill_diagonal(g, ri)
-            k = kernel(g, ri, r[j0 : j0 + b])
-            out[i0 : i0 + b] += k @ v[j0 : j0 + b]
+                diag = np.arange(g.shape[-1])
+                g[..., diag, diag] = ri
+            k = kernel(g, ri, r[..., j0 : j0 + b])
+            out[..., i0 : i0 + b, :] += k @ v[..., j0 : j0 + b, :]
             if j0 > i0:
-                out[j0 : j0 + b] += k.T @ vi
+                out[..., j0 : j0 + b, :] += k.swapaxes(-1, -2) @ vi
     return out
 
 
-def _pairwise_sum(y: np.ndarray, r: np.ndarray, kernel) -> float:
-    """sum_{j,k} K[j, k] for the kernel of :func:`_pairwise_apply`."""
-    ones = np.empty(y.shape[0])
+def _pairwise_quad(y: np.ndarray, r: np.ndarray, kernel, v: np.ndarray) -> np.ndarray:
+    """v . (K v) per slice, for the kernel of :func:`_pairwise_apply` and a (..., n) ``v``."""
+    kv = _pairwise_apply(y, r, kernel, v[..., None])
+    return (v[..., None, :] @ kv)[..., 0, 0]
+
+
+def _pairwise_sum(y: np.ndarray, r: np.ndarray, kernel) -> np.ndarray:
+    """sum_{j,k} K[j, k] per slice, for the kernel of :func:`_pairwise_apply`."""
+    ones = np.empty(r.shape)
     ones.fill(1.0)  # cheaper than np.ones, whose fixed cost shows at small n
-    return float(ones @ _pairwise_apply(y, r, kernel, ones))
+    return _pairwise_quad(y, r, kernel, ones)
 
 
 def _gauss_kernel(a: float):
@@ -108,24 +120,24 @@ def _gauss_kernel(a: float):
 
     def kernel(g, rj, rk):
         g *= 2.0 * c
-        g -= (c * rj)[:, None]
-        g -= (c * rk)[None, :]
+        g -= (c * rj)[..., :, None]
+        g -= (c * rk)[..., None, :]
         return np.exp(g, out=g)
 
     return kernel
 
 
-def _t_value(y: np.ndarray, a: float) -> float:
-    """Raw statistic from a residual matrix (no validation)."""
-    n, d = y.shape
-    r = np.einsum("ij,ij->i", y, y)
-    quad = float(r @ _pairwise_apply(y, r, _gauss_kernel(a), r))
+def _t_value(y: np.ndarray, a: float) -> np.ndarray:
+    """Raw statistic of each slice of a (..., n, d) residual stack (no validation)."""
+    n, d = y.shape[-2:]
+    r = np.einsum("...ij,...ij->...i", y, y)
+    quad = _pairwise_quad(y, r, _gauss_kernel(a), r)
     term1 = (np.pi / a) ** (d / 2.0) / n * quad
     term2 = (
         2.0
         * (2.0 * np.pi) ** (d / 2.0)
         / (2.0 * a + 1.0) ** (d / 2.0 + 2.0)
-        * float(np.sum(r * (r + 2.0 * d * a * (2.0 * a + 1.0)) * np.exp(-0.5 * r / (2.0 * a + 1.0))))
+        * np.sum(r * (r + 2.0 * d * a * (2.0 * a + 1.0)) * np.exp(-0.5 * r / (2.0 * a + 1.0)), axis=-1)
     )
     term3 = (
         n
@@ -136,9 +148,8 @@ def _t_value(y: np.ndarray, a: float) -> float:
     return term1 - term2 + term3
 
 
-def _scaled_t(y: np.ndarray, a: float) -> float:
-    n, d = y.shape
-    return scaling_factor(d, a) * _t_value(y, a)
+def _scaled_t(y: np.ndarray, a: float) -> np.ndarray:
+    return scaling_factor(y.shape[-1], a) * _t_value(y, a)
 
 
 def t_statistic(sample: StandardizedSample, a: float) -> StatisticValue:
@@ -151,7 +162,7 @@ def t_statistic(sample: StandardizedSample, a: float) -> StatisticValue:
     a = check_tuning(a)
     y = sample.residuals
     n, d = y.shape
-    value = _t_value(y, a)
+    value = float(_t_value(y, a))
     return StatisticValue(value=value, scaled=scaling_factor(d, a) * value, n=n, d=d, a=a)
 
 
@@ -162,23 +173,29 @@ def mrs_skewness(sample: StandardizedSample) -> float:
     always nonnegative.  This is the a -> infinity limit of the normalized
     test statistic.
     """
-    y = sample.residuals
-    r = np.einsum("ij,ij->i", y, y)
-    v = (r @ y) / y.shape[0]
-    return float(v @ v)
+    return float(_mrs_skewness(sample.residuals))
+
+
+def _mrs_skewness(y: np.ndarray) -> np.ndarray:
+    """:func:`mrs_skewness` of each slice of a (..., n, d) residual stack."""
+    r = np.einsum("...ij,...ij->...i", y, y)
+    v = (r[..., None, :] @ y) / y.shape[-2]
+    return (v @ v.swapaxes(-1, -2))[..., 0, 0]
 
 
 def mardia_skewness(sample: StandardizedSample) -> float:
     """Classical skewness statistic n^{-2} sum_{j,k} (Y_j^T Y_k)^3."""
-    y = sample.residuals
-    n = y.shape[0]
-    r = np.einsum("ij,ij->i", y, y)
+    return float(_mardia_skewness(sample.residuals))
+
+
+def _mardia_skewness(y: np.ndarray) -> np.ndarray:
+    """:func:`mardia_skewness` of each slice of a (..., n, d) residual stack."""
 
     def cube(g, rj, rk):
         g *= g * g
         return g
 
-    return _pairwise_sum(y, r, cube) / n**2
+    return _pairwise_sum(y, np.einsum("...ij,...ij->...i", y, y), cube) / y.shape[-2] ** 2
 
 
 def mardia_kurtosis(sample: StandardizedSample) -> float:

@@ -241,6 +241,13 @@ class TestSpecParsing:
         assert evaluate(CompetitorSpec("bhep", 1.0), x) == pytest.approx(bhep(s, 1.0))
         assert evaluate(CompetitorSpec("be", 1.0), x) == pytest.approx(be(s, 1.0))
 
+    @pytest.mark.parametrize("kind", ["hv_inf", "bcmr"])
+    def test_tuning_refused_by_a_kind_that_takes_none(self, kind):
+        # it would change the label and the seed key but not the statistic
+        with pytest.raises(ValueError, match="takes no tuning"):
+            CompetitorSpec(kind, 2.0)
+        assert parse_competitor(f"{kind}:2") == CompetitorSpec(kind)
+
     @pytest.mark.parametrize("kind,default", [("bhep", 1.0), ("hjg", 1.5), ("hv", 5.0), ("be", 1.0)])
     def test_spec_without_tuning_uses_the_default(self, kind, default):
         x = make_rng(13).normal(size=(20, 1 if kind == "be" else 2))

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from normtest import (
+    CompetitorSpec,
     CriticalValueTable,
     LimitSamplerConfig,
     critical_value,
@@ -15,9 +16,13 @@ from normtest import (
     limit_quantile,
     mc_null_sample,
     pvalue_mc,
+    scaled_residuals,
+    t_statistic,
 )
-from normtest import nulldist, parallel
+from normtest import evaluate, nulldist, parallel, power
 from normtest.cli import _render_rows
+from normtest.competitors import KINDS, parse_competitor
+from normtest.samplers import parse_spec, sample
 from normtest.nulldist import KernelNotPSD, _h_func, _kernel_matrix
 from conftest import make_rng
 
@@ -128,6 +133,79 @@ class TestMcNullSample:
         # a checkpoint from different run parameters is ignored
         resumed_other = mc_null_sample(1, 12, 1.0, 120, 9, workers=1, checkpoint=path)
         np.testing.assert_array_equal(resumed_other, mc_null_sample(1, 12, 1.0, 120, 9))
+
+
+BLOCK_ALTS = ("std", "mt:nu=5", "nmix:p=0.1,mu=3,sigma=I", "prod:uniform")  # sigma=1 at d=1
+# (d, n, replications): blocks of 26 at n=50 and of 2 at n=150 end inside
+# the run; n=300 is above the kernel's block edge, so it runs in blocks of 1
+BLOCK_CASES = [(d, n, reps) for d in (1, 2) for n, reps in ((d + 1, 23), (20, 23), (50, 30), (150, 5), (300, 3))]
+
+
+class TestBlockEngine:
+    """Replications evaluated in stacks give the values of the public per-sample path."""
+
+    @pytest.mark.parametrize("d,n,reps", BLOCK_CASES)
+    def test_block_values_match_the_public_path(self, d, n, reps):
+        kinds = KINDS if d == 1 else [k for k in KINDS if k not in ("bcmr", "be")]
+        for text in BLOCK_ALTS:
+            alt = parse_spec(text.replace("sigma=I", "sigma=1") if d == 1 else text)
+            for column in [1.5, *map(CompetitorSpec, kinds)]:
+                got = nulldist._rep([parallel.substream(17, i) for i in range(reps)], alt, n, d, column)
+                want = []
+                for i in range(reps):
+                    x = sample(alt, n, parallel.substream(17, i), d=d)
+                    if isinstance(column, CompetitorSpec):
+                        want.append(evaluate(column, x))
+                    else:
+                        want.append(t_statistic(scaled_residuals(x), column).scaled)
+                np.testing.assert_array_equal(got, want)
+
+    def test_frozen_values(self):
+        # Values of the one-replication-at-a-time engine.  Replicates 25 | 26
+        # straddle the first block edge; an einsum in place of a matmul moves
+        # bits here, and so does np.exp in place of libm's exp (hjg at 3, 17).
+        frozen = {
+            1.5: [0.31683206647021006, 0.747433631578281, 2.0812224224390237, 1.3862436997784089],
+            "bhep:0.5": [0.00021438130180895243, 0.0031663836421828018, 0.014347070799164086, 0.0034231863474651902],
+            "hjg:1.5": [37.36260893518643, 3.6602722706452493, 43.4561361501634, 15.653370591021112],
+            "hv:5": [3.176489301808743, 4.2248369537532175, 3.128691752252496, 67.31862724414465],
+            "hvinf": [8.163189505025656, 3.1924164788716176, 0.7901640876435057, 17.346721801878836],
+        }
+        alt = parse_spec("mt:nu=5")
+        for key, want in frozen.items():
+            column = key if isinstance(key, float) else parse_competitor(key)
+            rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 2, 50, column), i) for i in range(30)]
+            assert nulldist._rep(rngs, alt, 50, 2, column)[[3, 17, 25, 26]].tolist() == want, key
+
+    def test_worker_count_invariance(self):
+        # chunks of 137 replications on one worker and of 68 on two: chunk
+        # edges cut the blocks of 26 in different places
+        args = (parse_spec("mt:nu=5"), 50, 2, CompetitorSpec("hjg"))
+        one = parallel.map_replications(nulldist._rep, 1100, 8, args=args, workers=1)
+        two = parallel.map_replications(nulldist._rep, 1100, 8, args=args, workers=2)
+        np.testing.assert_array_equal(one, two)
+
+    def test_resume_inside_a_block(self, tmp_path):
+        path = str(tmp_path / "c.npz")
+        args = (nulldist._NULL, 50, 2, 1.5)
+        full = parallel.map_replications(nulldist._rep, 100, 3, args=args, workers=1)
+        parallel._save_checkpoint(path, "m", full[:40])  # 40 ends inside the second block of 26
+        resumed = parallel.map_replications(
+            nulldist._rep, 100, 3, args=args, workers=1, checkpoint=path, checkpoint_meta="m"
+        )
+        np.testing.assert_array_equal(resumed, full)
+
+    def test_memory_within_the_kernel_budget(self):
+        # blocks of 2 samples at n=150; a stack of a whole chunk of 250 would
+        # hold 250 * 150^2 * 8 B = 45 MB of Gram matrices
+        mc_null_sample(4, 150, 1.0, 20, 1)
+        tracemalloc.start()
+        try:
+            mc_null_sample(4, 150, 1.0, 2000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCriticalValue:

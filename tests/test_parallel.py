@@ -10,18 +10,18 @@ from normtest.samplers import parse_spec, sample
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _first_normal(rng):
-    return float(rng.standard_normal())
+def _first_normal(rngs):
+    return np.array([float(rng.standard_normal()) for rng in rngs])
 
 
-def _index_probe(rng):
-    return float(rng.integers(0, 2**31))
+def _index_probe(rngs):
+    return np.array([float(rng.integers(0, 2**31)) for rng in rngs])
 
 
 class TestSubstreams:
     def test_matches_manual_loop(self):
         out = parallel.map_replications(_first_normal, 32, seed=99, workers=1)
-        manual = np.array([_first_normal(parallel.substream(99, i)) for i in range(32)])
+        manual = np.array([_first_normal([parallel.substream(99, i)])[0] for i in range(32)])
         np.testing.assert_array_equal(out, manual)
 
     def test_streams_distinct(self):
@@ -100,7 +100,7 @@ class TestCheckpoint:
         out = parallel.map_replications(
             _first_normal, 10, seed=1, workers=1, checkpoint=path, checkpoint_meta="mine"
         )
-        manual = np.array([_first_normal(parallel.substream(1, i)) for i in range(10)])
+        manual = np.array([_first_normal([parallel.substream(1, i)])[0] for i in range(10)])
         np.testing.assert_array_equal(out, manual)
 
     def test_written_at_completion(self, tmp_path):

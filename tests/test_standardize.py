@@ -18,6 +18,7 @@ from normtest import (
 )
 from normtest.competitors import parse_competitor
 from normtest.samplers import parse_spec, sample
+from normtest.standardize import _whiten
 from conftest import make_rng, random_invertible, random_spd
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -138,6 +139,18 @@ class TestScaledResiduals:
         with pytest.raises(SingularCovariance):
             scaled_residuals(np.tile(row, (5, 1)))
 
+    def test_singular_slice_of_a_stack(self):
+        # slices 1 and 2 repeat a row, so their covariance has rank d - 1; the
+        # stack reports the first, as a lone call on it would
+        xs = make_rng(4).normal(size=(4, 4, 3))
+        xs[1, 3] = xs[1, 0]
+        xs[2, 2] = xs[2, 1]
+        with pytest.raises(SingularCovariance) as lone:
+            _whiten(xs[1])
+        with pytest.raises(SingularCovariance) as stacked:
+            _whiten(xs)
+        assert str(stacked.value) == str(lone.value)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
     def test_affine_invariance_of_statistic(self, seed):
@@ -182,7 +195,7 @@ class TestOneWhitening:
         for i in range(20):
             draw = parallel.substream(321, i).standard_normal((n, d))
             public = t_statistic(scaled_residuals(draw), 1.5).scaled
-            assert nulldist._rep(parallel.substream(321, i), parse_spec("std"), n, d, 1.5) == public
+            assert nulldist._rep([parallel.substream(321, i)], parse_spec("std"), n, d, 1.5)[0] == public
 
     @pytest.mark.parametrize("comp", ["bhep:0.5", "hv:5", "hjg:1.5"])
     def test_competitor_replication_matches_evaluate(self, comp):
@@ -190,7 +203,7 @@ class TestOneWhitening:
         for alt in (parse_spec("std"), parse_spec("mt:nu=5")):
             for i in range(4):
                 draw = sample(alt, 50, parallel.substream(7, i), d=2)
-                got = nulldist._rep(parallel.substream(7, i), alt, 50, 2, spec)
+                got = nulldist._rep([parallel.substream(7, i)], alt, 50, 2, spec)[0]
                 assert got == evaluate(spec, draw)
 
     def test_eigh_only_in_standardize(self):
