@@ -7,8 +7,6 @@ the population distance and reports the empirical coverage percentage.
 
 import argparse
 
-import numpy as np
-
 from normtest import confidence_interval, delta_a_univariate, delta_estimate, scaled_residuals
 from normtest.inference import (
     laplace_cf_second_derivative,
@@ -16,11 +14,13 @@ from normtest.inference import (
     uniform_cf_second_derivative,
 )
 from normtest.parallel import substream
+from normtest.samplers import parse_spec, sample
 
+# The unit-variance samplers, each with the second derivative of its characteristic function.
 DISTS = {
-    "uniform": (uniform_cf_second_derivative, lambda rng, n: rng.uniform(-np.sqrt(3), np.sqrt(3), n)),
-    "laplace": (laplace_cf_second_derivative, lambda rng, n: rng.laplace(0.0, 1 / np.sqrt(2), n)),
-    "logistic": (logistic_cf_second_derivative, lambda rng, n: rng.logistic(0.0, np.sqrt(3) / np.pi, n)),
+    "uniform": uniform_cf_second_derivative,
+    "laplace": laplace_cf_second_derivative,
+    "logistic": logistic_cf_second_derivative,
 }
 # Fixed substream ids: str hashes are randomized per process.
 DISTS_ID = {"uniform": 0, "laplace": 1, "logistic": 2}
@@ -35,15 +35,16 @@ if __name__ == "__main__":
     args = ap.parse_args()
     sizes = args.n or [20, 50, 100, 200, 300]
 
-    targets = {name: delta_a_univariate(cf2, args.a) for name, (cf2, _) in DISTS.items()}
+    targets = {name: delta_a_univariate(cf2, args.a) for name, cf2 in DISTS.items()}
     print("n," + ",".join(DISTS))
     for n in sizes:
         row = [str(n)]
-        for name, (_, draw) in DISTS.items():
+        for name in DISTS:
+            spec = parse_spec(name)
             hits = 0
             for i in range(args.reps):
                 rng = substream(args.seed, DISTS_ID[name], n, i)
-                est = delta_estimate(scaled_residuals(draw(rng, n)[:, None]), args.a)
+                est = delta_estimate(scaled_residuals(sample(spec, n, rng)), args.a)
                 ci = confidence_interval(est, args.alpha)
                 hits += ci.lower <= targets[name] <= ci.upper
             row.append(f"{100.0 * hits / args.reps:.1f}")

@@ -42,12 +42,18 @@ class CompetitorSpec:
         else:
             if self.tuning is None:
                 object.__setattr__(self, "tuning", row.default)
-            name, bound = row.bound
-            if not self.tuning > bound:
-                raise ValueError(f"{self.kind} requires {name} > {bound:g}")
+            _check_tuning(self.kind, self.tuning)
 
     def label(self) -> str:
         return self.kind if self.tuning is None else f"{self.kind}:{self.tuning:g}"
+
+
+def _check_tuning(kind: str, tuning: float) -> float:
+    """The tuning of a kind that takes one, if finite and strictly above the kind's bound."""
+    name, bound = _TABLE[kind].bound
+    if not (math.isfinite(tuning) and tuning > bound):
+        raise ValueError(f"{kind} requires a finite {name} > {bound:g}, got {tuning!r}")
+    return tuning
 
 
 def parse_competitor(text: str) -> CompetitorSpec:
@@ -93,9 +99,7 @@ def hjg(sample: StandardizedSample, beta: float) -> float:
     Every term is scaled by exp(-c), c = max_j ||Y_j||^2 / beta, which bounds
     every exponent, so an outlier gives a finite value or +inf, never inf - inf.
     """
-    if beta <= 1.0:
-        raise ValueError("hjg requires beta > 1")
-    return float(_hjg(sample.residuals, beta))
+    return float(_hjg(sample.residuals, _check_tuning("hjg", beta)))
 
 
 def _hjg(y: np.ndarray, beta: float) -> np.ndarray:
@@ -122,9 +126,7 @@ def _hjg(y: np.ndarray, beta: float) -> np.ndarray:
 
 def hv(sample: StandardizedSample, gamma: float) -> float:
     """MGF differential-characterization statistic; gamma > 2; scaled as in :func:`hjg`."""
-    if gamma <= 2.0:
-        raise ValueError("hv requires gamma > 2")
-    return float(_hv(sample.residuals, gamma))
+    return float(_hv(sample.residuals, _check_tuning("hv", gamma)))
 
 
 def _hv(y: np.ndarray, gamma: float) -> np.ndarray:

@@ -120,8 +120,9 @@ def map_replications(
         return out
 
     # Chunks small enough to parallelize and to checkpoint, fixed relative to
-    # replication indices so chunking never affects values.
-    chunk = min(CHECKPOINT_EVERY, max(64, (replications - start) // (8 * nworkers) or 64))
+    # replication indices so chunking never affects values.  A chunk's
+    # substreams all exist while it runs (about 0.9 kB each), hence the cap.
+    chunk = min(CHECKPOINT_EVERY, 1_000, max(64, (replications - start) // (8 * nworkers) or 64))
     ranges = [(lo, min(lo + chunk, replications)) for lo in range(start, replications, chunk)]
 
     def note_progress(lo: int, hi: int) -> None:

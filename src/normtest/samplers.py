@@ -1,24 +1,25 @@
 """Seeded generators for the null and the alternative distributions.
 
 Alternatives are described by :class:`AlternativeSpec` values, parseable from
-a compact string grammar (used by the CLI)::
+a compact string grammar (used by the CLI): ``kind:name=value,...`` or
+``kind(v1,v2,...)``, the values in the order listed.  A parameter listed as
+``name=default`` may be left out; the others are required::
 
-    std                      standard normal, any d
-    nmix:p=0.1,mu=3,sigma=1  normal mixture (1-p) N(0, I) + p N(mu, sigma);
-                             for d >= 2, mu=3 means the vector of 3's and
-                             sigma accepts "Bd" (unit diagonal, 0.9 off) or
-                             "I" or a scalar variance
-    t:nu=5 / mt:nu=5         univariate / multivariate t
-    uniform                  U(-sqrt3, sqrt3)
-    chisq(5), beta(1,4), gamma:shape=5,rate=1, gumbel:loc=1,scale=2,
-    lognormal, weibull:scale=1,shape=0.5, laplace, logistic, cauchy,
-    pvii:theta=10            Pearson type VII with density c (1+x^2)^-theta
-    prod:<univariate spec>   i.i.d. coordinates, e.g. prod:gamma(5,1)
-    spherical:<radius spec>  R * (uniform direction), e.g. spherical:exp(1)
+    std                          standard normal, any d
+    mt(nu)                       multivariate t, any d
+    nmix(p, mu=0, sigma=1)       (1-p) N(0, I) + p N(mu, sigma), any d; for d >= 2,
+                                 mu=3 is the vector of 3's and sigma a variance
+                                 times I, "I" or "Bd" (unit diagonal, 0.9 off)
+    t(nu), uniform, chisq(nu), beta(alpha, beta), gamma(shape, rate),
+    gumbel(loc=0, scale), lognormal(mu=0, sigma=1), weibull(scale, shape),
+    laplace(loc=0, scale=1/sqrt2), logistic(loc=0, scale=sqrt3/pi), cauchy,
+    pvii(theta), exp(rate=1)
+    prod:<univariate spec>       i.i.d. coordinates, e.g. prod:gamma(5,1)
+    spherical:<univariate spec>  R * (uniform direction), e.g. spherical:exp(1)
 
-Parameters follow their conventional roles: gamma is (shape, rate), weibull
-is (scale, shape), gumbel is (location, scale).  Bare laplace/logistic
-default to the unit-variance scalings (scale 1/sqrt2 and sqrt3/pi).
+nmix and the kinds from t on are univariate: drawn at d = 1, or as the base of
+prod or spherical.  uniform, and laplace and logistic at their default scales,
+have unit variance; pvii(theta) has density c (1+x^2)^-theta.
 """
 
 from __future__ import annotations
@@ -26,28 +27,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .parallel import substream
-
-_UNIVARIATE = {
-    "t",
-    "uniform",
-    "chisq",
-    "beta",
-    "gamma",
-    "gumbel",
-    "lognormal",
-    "weibull",
-    "laplace",
-    "logistic",
-    "cauchy",
-    "pvii",
-    "exp",
-    "nmix",
-}
-_KINDS = _UNIVARIATE | {"std", "mt", "prod", "spherical"}
 
 
 @dataclass(frozen=True)
@@ -55,13 +39,33 @@ class AlternativeSpec:
     """Tagged description of a sampling distribution."""
 
     kind: str
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # as given; the label shows these
     base: "AlternativeSpec | None" = None  # for prod / spherical
+    values: tuple = field(init=False, repr=False, compare=False)  # in positional order, defaults filled in
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
-        _validate(self)
+        row = _row(self.kind)
+        form = _form(self.kind)
+        if row.takes_base:
+            if self.base is None or not _TABLE[self.base.kind].univariate:
+                raise ValueError(f"{self.kind} needs a univariate base distribution: {self.kind}:<spec>")
+        elif self.base is not None:
+            raise ValueError(f"{form} takes no base distribution")
+        unknown = [k for k in self.params if k not in row.params]
+        if unknown:
+            raise ValueError(f"{form} has no parameter {', '.join(map(repr, unknown))}")
+        values = {**row.params, **self.params}
+        missing = [k for k, v in values.items() if v is None]
+        if missing:
+            raise ValueError(f"{form} needs {', '.join(missing)}")
+        values = tuple(values.values())
+        try:
+            valid = row.rule(*values)
+        except TypeError:  # a string in a numeric slot
+            valid = False
+        if not valid:
+            raise ValueError(f"{form} requires {row.message}; got {self.label()}")
+        object.__setattr__(self, "values", values)
 
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in self.params.items())
@@ -70,81 +74,44 @@ class AlternativeSpec:
         return f"{self.kind}({inner})" if inner else self.kind
 
 
-_POSITIONAL = {
-    "t": ("nu",),
-    "mt": ("nu",),
-    "chisq": ("nu",),
-    "beta": ("alpha", "beta"),
-    "gamma": ("shape", "rate"),
-    "gumbel": ("loc", "scale"),
-    "weibull": ("scale", "shape"),
-    "pvii": ("theta",),
-    "exp": ("rate",),
-    "nmix": ("p", "mu", "sigma"),
-}
+def _row(kind: str) -> _Kind:
+    if kind not in _TABLE:
+        raise ValueError(f"unknown distribution kind {kind!r}; choose from {', '.join(_TABLE)}")
+    return _TABLE[kind]
 
 
-def _validate(spec: AlternativeSpec) -> None:
-    p = spec.params
-    kind = spec.kind
-    if kind in ("t", "mt", "chisq") and not p.get("nu", 1) >= 1:
-        raise ValueError(f"{kind} requires nu >= 1")
-    if kind == "beta" and (p.get("alpha", 1) <= 0 or p.get("beta", 1) <= 0):
-        raise ValueError("beta requires positive shape parameters")
-    if kind == "gamma" and (p.get("shape", 1) <= 0 or p.get("rate", 1) <= 0):
-        raise ValueError("gamma requires positive shape and rate")
-    if kind == "weibull" and (p.get("scale", 1) <= 0 or p.get("shape", 1) <= 0):
-        raise ValueError("weibull requires positive scale and shape")
-    if kind == "gumbel" and p.get("scale", 1) <= 0:
-        raise ValueError("gumbel requires positive scale")
-    if kind == "pvii" and not p.get("theta", 1) > 0.5:
-        raise ValueError("pvii requires theta > 1/2")
-    if kind == "exp" and p.get("rate", 1) <= 0:
-        raise ValueError("exp requires positive rate")
-    if kind == "nmix":
-        if not 0.0 < p.get("p", 0.5) < 1.0:
-            raise ValueError("nmix requires p in (0, 1)")
-        sigma = p.get("sigma", 1.0)
-        if not (sigma == "Bd" or sigma == "I" or (isinstance(sigma, float) and sigma > 0)):
-            raise ValueError("nmix sigma must be positive, 'I' or 'Bd'")
-    if kind in ("prod", "spherical"):
-        if spec.base is None:
-            raise ValueError(f"{kind} requires a base distribution")
-        if spec.base.kind not in _UNIVARIATE:
-            raise ValueError(f"{kind} base must be univariate, got {spec.base.kind!r}")
+def _form(kind: str) -> str:
+    """The kind with its parameters in positional order, e.g. ``gumbel(loc=0, scale)``."""
+    names = (k if v is None else f"{k}={v:g}" for k, v in _TABLE[kind].params.items())
+    return f"{kind}({', '.join(names)})"
+
+
+def _number(text: str) -> float | str:
+    try:
+        return float(text)
+    except ValueError:
+        return text  # "I" or "Bd"; the kind's rule refuses any other string
 
 
 def parse_spec(text: str) -> AlternativeSpec:
     """Parse the compact string grammar into an :class:`AlternativeSpec`."""
     text = text.strip()
-    head, sep, rest = text.partition(":")
-    head = head.strip().lower()
-    if head in ("prod", "spherical"):
-        if not sep:
-            raise ValueError(f"{head} needs a base distribution, e.g. {head}:exp(1)")
-        return AlternativeSpec(kind=head, base=parse_spec(rest))
-    # positional form name(v1,v2): rewrite into the kv form
-    m = re.fullmatch(r"([a-z0-9_]+)\(([^)]*)\)", text.strip().lower())
-    if m:
-        head = m.group(1)
-        names = _POSITIONAL.get(head)
-        if names is None:
-            raise ValueError(f"{head!r} takes no positional parameters")
-        vals = [v.strip() for v in m.group(2).split(",") if v.strip()]
+    head, _, rest = text.partition(":")
+    kind = head.strip().lower()
+    if kind in _TABLE and _TABLE[kind].takes_base:
+        return AlternativeSpec(kind, base=parse_spec(rest) if rest.strip() else None)
+    positional = re.fullmatch(r"(\w+)\((.*)\)", text)
+    if positional:
+        kind = positional.group(1).lower()
+        names = list(_row(kind).params)
+        vals = positional.group(2).split(",") if positional.group(2).strip() else []
         if len(vals) > len(names):
-            raise ValueError(f"too many parameters for {head!r}")
-        rest = ",".join(f"{k}={v}" for k, v in zip(names, vals))
-        sep = ":"
-    params: dict = {}
-    if sep and rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            if not eq:
-                raise ValueError(f"expected key=value in {item!r}")
-            key = key.strip().lower()
-            val = val.strip()
-            params[key] = val if val in ("Bd", "I") else float(val)
-    return AlternativeSpec(kind=head, params=params)
+            raise ValueError(f"{_form(kind)} takes at most {len(names)} parameters, got {len(vals)}")
+        items = zip(names, vals)
+    else:
+        pairs = (item.partition("=") for item in rest.split(",")) if rest.strip() else ()
+        items = [(key.strip().lower(), val) for key, _, val in pairs]
+    return AlternativeSpec(kind, {key: _number(val.strip()) for key, val in items})
 
 
 def sphere_uniform(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,52 +132,111 @@ def _sphere_uniform_many(d: int, n: int, rng: np.random.Generator) -> np.ndarray
     return g / norms[:, None]
 
 
-def _sample_univariate(spec: AlternativeSpec, size, rng: np.random.Generator) -> np.ndarray:
-    kind, p = spec.kind, spec.params
-    if kind == "t":
-        return rng.standard_t(p["nu"], size=size)
-    if kind == "uniform":
-        s3 = math.sqrt(3.0)
-        return rng.uniform(-s3, s3, size=size)
-    if kind == "chisq":
-        return rng.chisquare(p["nu"], size=size)
-    if kind == "beta":
-        return rng.beta(p["alpha"], p["beta"], size=size)
-    if kind == "gamma":
-        return rng.gamma(p["shape"], 1.0 / p["rate"], size=size)
-    if kind == "gumbel":
-        return rng.gumbel(p.get("loc", 0.0), p["scale"], size=size)
-    if kind == "lognormal":
-        return rng.lognormal(p.get("mu", 0.0), p.get("sigma", 1.0), size=size)
-    if kind == "weibull":
-        return p["scale"] * rng.weibull(p["shape"], size=size)
-    if kind == "laplace":
-        return rng.laplace(p.get("loc", 0.0), p.get("scale", 1.0 / math.sqrt(2.0)), size=size)
-    if kind == "logistic":
-        return rng.logistic(p.get("loc", 0.0), p.get("scale", math.sqrt(3.0) / math.pi), size=size)
-    if kind == "cauchy":
-        return rng.standard_cauchy(size=size)
-    if kind == "pvii":
-        # density c (1+x^2)^{-theta}: x = t_{2 theta - 1} / sqrt(2 theta - 1)
-        nu = 2.0 * p["theta"] - 1.0
-        return rng.standard_t(nu, size=size) / math.sqrt(nu)
-    if kind == "exp":
-        return rng.exponential(1.0 / p.get("rate", 1.0), size=size)
-    if kind == "nmix":
-        mu, sigma = p.get("mu", 0.0), p.get("sigma", 1.0)
-        if isinstance(sigma, str):
-            raise ValueError("matrix sigma is only meaningful for d >= 2")
-        out = rng.standard_normal(size)
-        pick = rng.random(size) < p["p"]
-        out[pick] = mu + math.sqrt(sigma) * rng.standard_normal(int(pick.sum()))
-        return out
-    raise ValueError(f"{kind!r} is not a univariate distribution")
-
-
 def _b_matrix(d: int) -> np.ndarray:
     b = np.full((d, d), 0.9)
     np.fill_diagonal(b, 1.0)
     return b
+
+
+_MATRIX = {"I": np.eye, "Bd": _b_matrix}  # the named covariances nmix's sigma takes at d >= 2
+
+
+def _pos(x) -> bool:
+    return 0 < x < math.inf
+
+
+def _real(x) -> bool:
+    return -math.inf < x < math.inf
+
+
+def _draw(spec: AlternativeSpec, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    return _TABLE[spec.kind].draw(rng, n, d, spec)
+
+
+def _mt(rng, n, d, spec):
+    (nu,) = spec.values
+    z = rng.standard_normal((n, d))
+    return z / np.sqrt(rng.chisquare(nu, size=n) / nu)[:, None]
+
+
+def _nmix(rng, n, d, spec):
+    p, mu, sigma = spec.values
+    if isinstance(sigma, str):
+        if d == 1:
+            raise ValueError(f"{spec.kind} sigma={sigma} is a matrix, for d >= 2; give a variance at d = 1")
+        cov = _MATRIX[sigma](d)
+    else:
+        cov = sigma * np.eye(d)
+    out = rng.standard_normal((n, d))
+    pick = rng.random(n) < p
+    out[pick] = mu + rng.standard_normal((int(pick.sum()), d)) @ np.linalg.cholesky(cov).T
+    return out
+
+
+def _pvii(rng, n, theta):
+    # density c (1+x^2)^{-theta}: x = t_{2 theta - 1} / sqrt(2 theta - 1)
+    nu = 2.0 * theta - 1.0
+    return rng.standard_t(nu, size=n) / math.sqrt(nu)
+
+
+class _Kind(NamedTuple):
+    draw: Callable  # (rng, n, d, spec) -> (n, d) array
+    params: dict = {}  # name -> default, in positional order; a default of None marks a required one
+    rule: Callable[..., bool] = lambda: True  # of every parameter, in positional order
+    message: str = ""  # what the rule requires
+    univariate: bool = False  # drawn at d = 1; may be the base of prod and spherical
+    takes_base: bool = False  # draws from a univariate base, spec.base
+
+
+def _uni(draw1, *validation) -> _Kind:
+    """Row of a univariate kind whose ``draw1(rng, n, *values)`` returns n draws."""
+
+    def draw(rng, n, d, spec):
+        if d != 1:
+            raise ValueError(f"{spec.kind} is univariate; use prod:{spec.label()} for d={d}")
+        return draw1(rng, n, *spec.values)[:, None]
+
+    return _Kind(draw, *validation, univariate=True)
+
+
+def _positive(*names: str) -> tuple:
+    """Params, rule and message of required parameters that must all be positive."""
+    return dict.fromkeys(names), lambda *v: all(map(_pos, v)), " and ".join(f"{k} > 0" for k in names)
+
+
+_NU = ({"nu": None}, lambda nu: 1 <= nu < math.inf, "nu >= 1")  # params, rule and message
+_LOC = (lambda loc, scale: _real(loc) and _pos(scale), "a finite location and a positive scale")  # rule, text
+
+# The one per-kind table: parsing, validation, defaults and draws all read it.
+# Where a draw takes *v, the parameters are numpy's arguments in their order.
+_TABLE = {
+    "std": _Kind(lambda g, n, d, s: g.standard_normal((n, d))),
+    "mt": _Kind(_mt, *_NU),
+    "nmix": _Kind(
+        _nmix, {"p": None, "mu": 0.0, "sigma": 1.0},
+        lambda p, mu, sigma: 0 < p < 1 and _real(mu) and (sigma in _MATRIX or _pos(sigma)),
+        "p in (0, 1), a finite mu and sigma > 0, 'I' or 'Bd'", univariate=True,
+    ),
+    "prod": _Kind(lambda g, n, d, s: np.hstack([_draw(s.base, g, n, 1) for _ in range(d)]), takes_base=True),
+    "spherical": _Kind(
+        lambda g, n, d, s: _draw(s.base, g, n, 1) * _sphere_uniform_many(d, n, g), takes_base=True
+    ),
+    "t": _uni(lambda g, n, nu: g.standard_t(nu, n), *_NU),
+    "uniform": _uni(lambda g, n: g.uniform(-math.sqrt(3.0), math.sqrt(3.0), n)),
+    "chisq": _uni(lambda g, n, nu: g.chisquare(nu, n), *_NU),
+    "beta": _uni(lambda g, n, *v: g.beta(*v, n), *_positive("alpha", "beta")),
+    "gamma": _uni(lambda g, n, shape, rate: g.gamma(shape, 1.0 / rate, n), *_positive("shape", "rate")),
+    "gumbel": _uni(lambda g, n, *v: g.gumbel(*v, n), {"loc": 0.0, "scale": None}, *_LOC),
+    "lognormal": _uni(lambda g, n, *v: g.lognormal(*v, n), {"mu": 0.0, "sigma": 1.0}, *_LOC),
+    "weibull": _uni(lambda g, n, scale, shape: scale * g.weibull(shape, n), *_positive("scale", "shape")),
+    "laplace": _uni(lambda g, n, *v: g.laplace(*v, n), {"loc": 0.0, "scale": 1 / math.sqrt(2.0)}, *_LOC),
+    "logistic": _uni(
+        lambda g, n, *v: g.logistic(*v, n), {"loc": 0.0, "scale": math.sqrt(3.0) / math.pi}, *_LOC
+    ),
+    "cauchy": _uni(lambda g, n: g.standard_cauchy(n)),
+    "pvii": _uni(_pvii, {"theta": None}, lambda theta: 0.5 < theta < math.inf, "theta > 1/2"),
+    "exp": _uni(lambda g, n, rate: g.exponential(1.0 / rate, n), {"rate": 1.0}, _pos, "rate > 0"),
+}
 
 
 def sample(spec: AlternativeSpec, n: int, seed_or_rng, d: int = 1) -> np.ndarray:
@@ -218,36 +244,4 @@ def sample(spec: AlternativeSpec, n: int, seed_or_rng, d: int = 1) -> np.ndarray
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else substream(int(seed_or_rng))
-    kind, p = spec.kind, spec.params
-    if kind == "std":
-        return rng.standard_normal((n, d))
-    if kind == "mt":
-        z = rng.standard_normal((n, d))
-        w = rng.chisquare(p["nu"], size=n)
-        return z / np.sqrt(w / p["nu"])[:, None]
-    if kind == "prod":
-        return np.column_stack([_sample_univariate(spec.base, n, rng) for _ in range(d)])
-    if kind == "spherical":
-        radius = _sample_univariate(spec.base, n, rng)
-        return radius[:, None] * _sphere_uniform_many(d, n, rng)
-    if kind == "nmix" and d > 1:
-        mu = np.full(d, p.get("mu", 0.0))
-        sigma = p.get("sigma", 1.0)
-        if sigma == "Bd":
-            cov = _b_matrix(d)
-        elif sigma == "I":
-            cov = np.eye(d)
-        else:
-            cov = float(sigma) * np.eye(d)
-        chol = np.linalg.cholesky(cov)
-        out = rng.standard_normal((n, d))
-        pick = rng.random(n) < p["p"]
-        out[pick] = mu + rng.standard_normal((int(pick.sum()), d)) @ chol.T
-        return out
-    if kind in _UNIVARIATE:
-        if d != 1:
-            raise ValueError(
-                f"{kind!r} is univariate; use 'prod:{spec.label()}' for i.i.d. coordinates in d={d}"
-            )
-        return _sample_univariate(spec, n, rng)[:, None]
-    raise ValueError(f"cannot sample kind {spec.kind!r}")
+    return _draw(spec, rng, n, d)

@@ -212,6 +212,12 @@ class TestPowerCommand:
         )
         assert rerun.read_bytes() == out.read_bytes()
 
+    def test_bad_alternative_refused_before_any_simulation(self, capsys):
+        code = main(["power", "--alt", "std", "--alt", "t", "--d", "1", "--n", "20", "--a", "1.0",
+                     "--reps", "50", "--crit-reps", "200", "--seed", "5", "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == 1 and "error:" in err and "critical value" not in err
+
 
 class TestDeltaCi:
     def test_json_round_trip(self, tmp_path, capsys):

@@ -63,8 +63,9 @@ class TestHjg:
         assert hjg(TWO_POINT, beta) == pytest.approx(expected, rel=1e-12)
 
     def test_requires_beta_above_one(self):
-        with pytest.raises(ValueError):
-            hjg(TWO_POINT, 1.0)
+        for beta in (1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta > 1"):
+                hjg(TWO_POINT, beta)
 
     def test_affine_invariance(self):
         rng = make_rng(8)
@@ -87,8 +88,9 @@ class TestHv:
         assert hv(TWO_POINT, g) == pytest.approx(expected, rel=1e-12)
 
     def test_requires_gamma_above_two(self):
-        with pytest.raises(ValueError):
-            hv(TWO_POINT, 2.0)
+        for gamma in (2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="gamma > 2"):
+                hv(TWO_POINT, gamma)
 
     def test_affine_invariance(self):
         rng = make_rng(9)
@@ -230,7 +232,8 @@ class TestSpecParsing:
             CompetitorSpec("nope")
         # a tuning of exactly 0 is checked as given, not as the default
         for text, message in [("bhep:0", "a > 0"), ("hjg:0", "beta > 1"), ("hv:0", "gamma > 2"),
-                              ("be:0", "a > 0")]:
+                              ("be:0", "a > 0"), ("bhep:inf", "a > 0"), ("be:nan", "a > 0"),
+                              ("hjg:nan", "beta > 1"), ("hv:inf", "gamma > 2")]:
             with pytest.raises(ValueError, match=message):
                 parse_competitor(text)
 

@@ -18,6 +18,17 @@ def _index_probe(rngs):
     return np.array([float(rng.integers(0, 2**31)) for rng in rngs])
 
 
+class _ChunkSizes:
+    """:func:`_first_normal` that records how many substreams each call gets."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, rngs):
+        self.sizes.append(len(rngs))
+        return _first_normal(rngs)
+
+
 class TestSubstreams:
     def test_matches_manual_loop(self):
         out = parallel.map_replications(_first_normal, 32, seed=99, workers=1)
@@ -33,6 +44,14 @@ class TestSubstreams:
         base = parallel.map_replications(_first_normal, 150, seed=7, workers=1)
         out = parallel.map_replications(_first_normal, 150, seed=7, workers=workers)
         np.testing.assert_array_equal(base, out)
+
+    def test_chunk_holds_at_most_1000_substreams(self):
+        # on one worker, 16 000 // 8 would make chunks of 2 000
+        record = _ChunkSizes()
+        one = parallel.map_replications(record, 16_000, seed=6, workers=1)
+        assert max(record.sizes) == 1_000 and sum(record.sizes) == 16_000
+        two = parallel.map_replications(_first_normal, 16_000, seed=6, workers=2)
+        np.testing.assert_array_equal(one, two)
 
 
 class TestSeedingContract:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ class TestParse:
     def test_positional_equivalent_to_kv(self):
         assert parse_spec("chisq(5)") == parse_spec("chisq:nu=5")
         assert parse_spec("weibull(1,0.5)") == parse_spec("weibull:scale=1,shape=0.5")
+        assert parse_spec("nmix(0.5,0,Bd)") == parse_spec("nmix:p=0.5,mu=0,sigma=Bd")
+        assert parse_spec("lognormal(0,1)") == parse_spec("lognormal:mu=0,sigma=1")
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -35,6 +39,25 @@ class TestParse:
             parse_spec("wat")
         with pytest.raises(ValueError):
             parse_spec("spherical:")
+        for text in ("t:nu=inf", "nmix:p=nan", "nmix:p=0.5,mu=I", "lognormal:sigma=0", "uniform(5)", "beta(,4)"):
+            with pytest.raises(ValueError):
+                parse_spec(text)
+
+    @pytest.mark.parametrize(
+        "text,form",
+        [("t", "t(nu)"), ("gamma:shape=2", "gamma(shape, rate)"), ("t:df=5", "t(nu)"),
+         ("uniform:scale=5", "uniform()"), ("exp:rate=1,x=2", "exp(rate=1)"), ("t:nu=I", "t(nu)")],
+    )
+    def test_refusal_names_the_kind_and_its_parameters(self, text, form):
+        with pytest.raises(ValueError, match=re.escape(form)):
+            parse_spec(text)
+
+    def test_matrix_sigma_refused_at_d1(self):
+        spec = parse_spec("nmix:p=0.5,sigma=I")
+        with pytest.raises(ValueError, match="d >= 2"):
+            sample(spec, 10, 1, d=1)
+        with pytest.raises(ValueError, match="d >= 2"):
+            sample(AlternativeSpec("prod", base=spec), 10, 1, d=2)
 
     def test_base_must_be_univariate(self):
         with pytest.raises(ValueError):
@@ -55,6 +78,71 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         spec = parse_spec("uniform")
         assert not np.array_equal(sample(spec, 10, 1), sample(spec, 10, 2))
+
+
+def _digest(x):
+    return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+class TestFrozenDraws:
+    """Digests of sample(spec, 20, 8, d), recorded from the if-chain sampler
+    that the per-kind table replaced: the power tables are built on these draws."""
+
+    FROZEN = {
+        ("t(5)", 1): "f58bd47a1a816b19",
+        ("uniform", 1): "ce162e5edcd1dcad",
+        ("chisq(5)", 1): "0c24c87a3a27b0dc",
+        ("beta(1,4)", 1): "9ba99fae4d6faadf",
+        ("gamma(5,1)", 1): "964c9a8e62706b52",
+        ("gumbel(1,2)", 1): "fcad51af50d26276",
+        ("lognormal", 1): "91f4f9095c42e8ef",
+        ("weibull(1,0.5)", 1): "f2f3bf0cc55d353e",
+        ("laplace", 1): "db7aefac7eaad982",
+        ("logistic", 1): "070c24a4aaabd87f",
+        ("cauchy", 1): "d4e31b1c49e7d9f9",
+        ("pvii(10)", 1): "d17e0c2eda54f148",
+        ("exp(1)", 1): "7bd1729de5e452c7",
+        ("nmix:p=0.3,mu=1,sigma=0.25", 1): "c5a2eeef6465da53",
+        ("prod:t(5)", 3): "8d3ddc3a40095a84",
+        ("spherical:t(5)", 3): "fa6cbeec8efc6a66",
+        ("prod:uniform", 3): "c49e3dc5533eeaa8",
+        ("spherical:uniform", 3): "6974356f291422f0",
+        ("prod:chisq(5)", 3): "48f71daf727551bb",
+        ("spherical:chisq(5)", 3): "5b9c57474d87f9e5",
+        ("prod:beta(1,4)", 3): "814738bdf7efc652",
+        ("spherical:beta(1,4)", 3): "ac72c5df42513a79",
+        ("prod:gamma(5,1)", 3): "46d48e1423943e04",
+        ("spherical:gamma(5,1)", 3): "3c2080eb8c1c7985",
+        ("prod:gumbel(1,2)", 3): "ca281bc38116faea",
+        ("spherical:gumbel(1,2)", 3): "3488e47650888965",
+        ("prod:lognormal", 3): "16fe2b2524a8b0b6",
+        ("spherical:lognormal", 3): "71af407f525481dd",
+        ("prod:weibull(1,0.5)", 3): "6a1c4335b5ed8be7",
+        ("spherical:weibull(1,0.5)", 3): "d1980695aa80d008",
+        ("prod:laplace", 3): "d2cb0b8ed4d87029",
+        ("spherical:laplace", 3): "751ee9be35c8903a",
+        ("prod:logistic", 3): "4cee4a9679fc8b97",
+        ("spherical:logistic", 3): "68a941703aeae87c",
+        ("prod:cauchy", 3): "d5a6f4bbd00c4722",
+        ("spherical:cauchy", 3): "1167553ba6fe4dd0",
+        ("prod:pvii(10)", 3): "0fea663956940cfa",
+        ("spherical:pvii(10)", 3): "a1aa2ae764984850",
+        ("prod:exp(1)", 3): "e78def0d42225594",
+        ("spherical:exp(1)", 3): "476a1c872a83e82c",
+        ("prod:nmix:p=0.3,mu=1,sigma=0.25", 3): "e9195b676cd64011",
+        ("spherical:nmix:p=0.3,mu=1,sigma=0.25", 3): "2327ed85f87e5007",
+        ("std", 1): "a331fa37631bcd1d",
+        ("std", 3): "e36bb311484acdad",
+        ("mt:nu=5", 1): "a08e45f3b067e821",
+        ("mt:nu=5", 3): "553d5957a5b86503",
+        ("nmix:p=0.5,mu=2,sigma=I", 2): "daece6e945c7b329",
+        ("nmix:p=0.5,mu=0,sigma=Bd", 2): "93a3241803de7b30",
+        ("nmix:p=0.5,mu=-1,sigma=4", 2): "33723be303378cb1",
+    }
+
+    def test_draws_unchanged(self):
+        drawn = {(text, d): _digest(sample(parse_spec(text), 20, 8, d=d)) for text, d in self.FROZEN}
+        assert drawn == self.FROZEN
 
 
 class TestSphere:

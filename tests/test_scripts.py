@@ -1,7 +1,10 @@
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
+
+from normtest.samplers import parse_spec
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -21,3 +24,11 @@ def test_coverage_study_reproducible_across_processes():
     first = _run_script("coverage_study.py", args, hashseed=1)
     assert first.splitlines()[0] == "n,uniform,laplace,logistic"
     assert _run_script("coverage_study.py", args, hashseed=2) == first
+
+
+def test_power_study_alternatives_parse():
+    spec = importlib.util.spec_from_file_location("power_study", ROOT / "scripts" / "power_study.py")
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    for text in study.MULTIVARIATE_ALTS + study.UNIVARIATE_ALTS:
+        parse_spec(text)
