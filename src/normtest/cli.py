@@ -31,7 +31,7 @@ from .nulldist import (
 from .parallel import LIMIT, derive_seed, float_key
 from .samplers import parse_spec
 from .standardize import load_csv, scaled_residuals
-from .statistic import t_statistic
+from .statistic import check_alpha, t_statistic
 
 
 def _progress(msg: str) -> None:
@@ -72,8 +72,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _check_run_config(args) -> None:
     if args.reps < 1:
         raise ValueError("replications must be >= 1")
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    check_alpha(args.alpha)
 
 
 def _cell_checkpoint(args, *parts) -> str | None:

@@ -9,14 +9,16 @@ resulting confidence interval for Delta_a, and the inverse
 The variance estimator is assembled from closed-form integrals of the
 trigonometric sums against the Gaussian weight.  Writing
 A_i(Y_k) = int v_i(s, Y_k) z_n(s) w_a(s) ds for the four influence-function
-pieces v_1..v_4, the estimator equals (4/n) sum_k (sum_i A_i(Y_k))^2; the
-per-pair components sigma^{i,j} = (4/n) sum_k A_i A_j are exposed for
-diagnostics.  A direct tensor-grid quadrature of the defining double integral
-serves as the independent oracle (d <= 2).
+pieces v_1..v_4, the (4, n) influence matrix A gives the per-pair components
+sigma^{i,j} = (4/n) sum_k A_i(Y_k) A_j(Y_k), i.e. the Gram matrix 4 A A^T / n,
+and the estimator (4/n) sum_k (sum_i A_i(Y_k))^2 is their sum.  The closed form
+builds A from one pairwise pass (:func:`p_aggregates`); the independent oracle
+builds it by tensor-grid quadrature (d <= 2).  Both share one assembly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ from scipy.special import ndtri
 
 from .quadrature import QuadratureSpec, UnsupportedDimension
 from .standardize import StandardizedSample
-from .statistic import _gauss_kernel, _pairwise_apply, check_tuning
+from .statistic import _gauss_kernel, _pairwise_apply, check_alpha, check_tuning
 
 
 def m_func(t, d: int) -> np.ndarray | float:
@@ -143,23 +145,19 @@ def q2(y, a: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PAggregates:
-    """Sample aggregates of the q/p kernels entering the variance estimator.
+    """Sample aggregates of the q/p kernels entering the influence matrix.
 
-    Scalars ``p1a1``, ``p2a1``, ``p2a2``; d-vectors ``p1a1_tilde``,
-    ``p1a2_tilde``, ``p2a_tilde``; d x d matrix ``p1a_bar``; per-observation
-    vectors (length n) ``p1a2_of``, ``p1a3_of``, ``p2a3_of``.
+    d-vectors ``p1a2_tilde``, ``p2a_tilde``; per-observation vectors (length
+    n) ``p1a2_of``, ``p1a3_of``, ``p2a3_of``; scalar ``p2a1``, which equals the
+    mean of ``p2a3_of`` for standardized residuals.
     """
 
-    p1a1: float
-    p1a1_tilde: np.ndarray
     p1a2_tilde: np.ndarray
     p2a_tilde: np.ndarray
-    p1a_bar: np.ndarray
     p1a2_of: np.ndarray
     p1a3_of: np.ndarray
     p2a3_of: np.ndarray
     p2a1: float
-    p2a2: float
 
 
 def p_aggregates(sample: StandardizedSample, a: float) -> PAggregates:
@@ -180,59 +178,44 @@ def p_aggregates(sample: StandardizedSample, a: float) -> PAggregates:
 
     # P^{1,a,3}(Y_k) = (1/n) sum_l r_l p1(Y_k, Y_l) - q1(Y_k)
     p13 = cp1 * sum_re - q1v
-    p1a1 = float(np.mean(r * p13))
-    p1a1_tilde = (y.T @ (r * p13)) / n
     p1a2_tilde = (y.T @ p13) / n
-    p1a_bar = (y.T * (r * p13)) @ y / n
     p12 = np.einsum("kp,pq,kq->k", y, (y.T * p13) @ y, y) / n
 
     # w_l = (1/n) sum_m r_m p2(Y_m, Y_l) - q2(Y_l); p2's first argument is the
     # index carrying the r_m weight of the centred projection.
     w = cp1 / (2.0 * a) * (sum_re_y - sum_re[:, None] * y) - q2v
     p2a_tilde = (w.T @ r) / n
-    ydotw = np.einsum("ij,ij->i", y, w)
-    p2a1 = float(np.mean(r * ydotw))
+    p2a1 = float(np.mean(r * np.einsum("ij,ij->i", y, w)))
     cmat = (w.T * r) @ y / n
     p2a3 = np.einsum("kp,pq,kq->k", y, cmat, y)
-    p2a2 = float(np.mean(r * np.einsum("ij,ij->i", y @ p1a_bar, w)))
 
     return PAggregates(
-        p1a1=p1a1,
-        p1a1_tilde=p1a1_tilde,
         p1a2_tilde=p1a2_tilde,
         p2a_tilde=p2a_tilde,
-        p1a_bar=p1a_bar,
         p1a2_of=p12,
         p1a3_of=p13,
         p2a3_of=p2a3,
         p2a1=p2a1,
-        p2a2=p2a2,
     )
+
+
+def _influence(sample: StandardizedSample, a: float) -> np.ndarray:
+    """(4, n) matrix of A_i(Y_k) in closed form, from one :func:`p_aggregates` pass."""
+    y = sample.residuals
+    r = np.einsum("ij,ij->i", y, y)
+    ag = p_aggregates(sample, a)
+    v = 2.0 * ag.p1a2_tilde + ag.p2a_tilde
+    return np.stack([r * ag.p1a3_of, -0.5 * (ag.p2a3_of - ag.p2a1), -(y @ v), -ag.p1a2_of])
+
+
+def _components(amat: np.ndarray) -> np.ndarray:
+    """Gram matrix 4 A A^T / n of a (4, n) influence matrix: the sigma^{i,j}."""
+    return 4.0 * (amat @ amat.T) / amat.shape[1]
 
 
 def sigma_hat_sq_components(sample: StandardizedSample, a: float) -> np.ndarray:
     """Symmetric 4x4 matrix of variance components sigma^{i,j}."""
-    y = sample.residuals
-    n = sample.n
-    r = np.einsum("ij,ij->i", y, y)
-    ag = p_aggregates(sample, a)
-    vvec = 2.0 * ag.p1a2_tilde + ag.p2a_tilde
-    yv = y @ vvec
-    s = np.empty((4, 4))
-    s[0, 0] = 4.0 * np.mean(r**2 * ag.p1a3_of**2)
-    s[0, 1] = 2.0 * ag.p1a1 * ag.p2a1 - 2.0 * ag.p2a2
-    s[0, 2] = -4.0 * float(vvec @ ag.p1a1_tilde)
-    s[0, 3] = -4.0 * np.mean(r * ag.p1a2_of * ag.p1a3_of)
-    s[1, 1] = float(np.mean(ag.p2a3_of**2) - ag.p2a1**2)
-    s[1, 2] = 2.0 * np.mean(ag.p2a3_of * yv)
-    s[1, 3] = 2.0 * np.mean((ag.p2a3_of - ag.p2a1) * ag.p1a2_of)
-    s[2, 2] = 4.0 * float(vvec @ vvec)
-    s[2, 3] = 4.0 * np.mean(ag.p1a2_of * yv)
-    s[3, 3] = 4.0 * np.mean(ag.p1a2_of**2)
-    for i in range(4):
-        for j in range(i):
-            s[i, j] = s[j, i]
-    return s
+    return _components(_influence(sample, a))
 
 
 def sigma_hat_sq(sample: StandardizedSample, a: float) -> float:
@@ -286,10 +269,7 @@ def sigma_hat_sq_quadrature(
     sample: StandardizedSample, a: float, grid: QuadratureSpec | None = None
 ) -> float:
     """Oracle: 4 iint L_n(s,t) z_n(s) z_n(t) w_a(s) w_a(t) ds dt, d <= 2."""
-    a = check_tuning(a)
-    amat = _projected_influence(sample, a, _variance_grid(sample, grid))
-    total = amat.sum(axis=0)
-    return 4.0 * float(np.mean(total * total))
+    return float(np.sum(sigma_hat_sq_components_quadrature(sample, a, grid)))
 
 
 def sigma_hat_sq_components_quadrature(
@@ -297,8 +277,7 @@ def sigma_hat_sq_components_quadrature(
 ) -> np.ndarray:
     """Per-(i,j) quadrature components, for diagnosis against the closed form."""
     a = check_tuning(a)
-    amat = _projected_influence(sample, a, _variance_grid(sample, grid))
-    return 4.0 * (amat @ amat.T) / sample.n
+    return _components(_projected_influence(sample, a, _variance_grid(sample, grid)))
 
 
 @dataclass(frozen=True)
@@ -340,8 +319,7 @@ class ConfidenceInterval:
 
 
 def confidence_interval(est: DeltaEstimate, alpha: float) -> ConfidenceInterval:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    check_alpha(alpha)
     half = float(ndtri(1.0 - alpha / 2.0)) * est.sigma_hat / np.sqrt(est.n)
     return ConfidenceInterval(lower=est.delta_hat - half, upper=est.delta_hat + half, alpha=alpha)
 
@@ -363,10 +341,9 @@ class ValidationResult:
 
 def validation_test(est: DeltaEstimate, delta0: float, alpha: float) -> ValidationResult:
     """Reject H: Delta_a >= delta0 iff T/n <= delta0 - (sigma/sqrt n) z_{1-alpha}."""
-    if delta0 <= 0.0:
-        raise ValueError("delta0 must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    if not 0.0 < delta0 < math.inf:
+        raise ValueError(f"delta0 must be a positive finite real, got {delta0}")
+    check_alpha(alpha)
     threshold = delta0 - est.sigma_hat / np.sqrt(est.n) * float(ndtri(1.0 - alpha))
     return ValidationResult(
         reject=bool(est.delta_hat <= threshold), threshold=float(threshold), delta0=delta0, alpha=alpha

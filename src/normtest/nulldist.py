@@ -20,7 +20,7 @@ from . import parallel, statistic
 from .competitors import _TABLE, CompetitorSpec
 from .samplers import AlternativeSpec, sample
 from .standardize import _whiten
-from .statistic import StatisticValue, _scaled_t, check_tuning, scaling_factor
+from .statistic import StatisticValue, _scaled_t, check_alpha, check_tuning, scaling_factor
 
 
 class KernelNotPSD(ValueError):
@@ -166,8 +166,7 @@ def critical_value(samples, alpha: float) -> float:
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("empty sample")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    check_alpha(alpha)
     x = np.sort(x)
     k = math.ceil((1.0 - alpha) * x.size)
     return float(x[max(k, 1) - 1])
@@ -211,8 +210,8 @@ class LimitSamplerConfig:
             raise ValueError("need at least m=2 support points")
         if self.ell < 1:
             raise ValueError("need at least one replicate")
-        if self.jitter < 0.0:
-            raise ValueError("jitter must be nonnegative")
+        if not 0.0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be a nonnegative finite real, got {self.jitter}")
 
 
 def limit_quantile(
@@ -242,8 +241,7 @@ def limit_quantile(
     row count must equal ``config.m``.
     """
     a = check_tuning(a)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    check_alpha(alpha)
     rng = parallel.substream(config.seed)
     if support_points is None:
         u = rng.normal(scale=np.sqrt(0.5 / a), size=(config.m, d))

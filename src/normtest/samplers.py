@@ -111,6 +111,11 @@ def parse_spec(text: str) -> AlternativeSpec:
     else:
         pairs = (item.partition("=") for item in rest.split(",")) if rest.strip() else ()
         items = [(key.strip().lower(), val) for key, _, val in pairs]
+        keys = [key for key, _ in items]
+        for key in keys:
+            if keys.count(key) > 1:
+                _row(kind)  # an unknown kind is refused as such
+                raise ValueError(f"{_form(kind)} takes {key!r} once, got it {keys.count(key)} times")
     return AlternativeSpec(kind, {key: _number(val.strip()) for key, val in items})
 
 

@@ -48,6 +48,14 @@ def check_tuning(a: float) -> float:
     return a
 
 
+def check_alpha(alpha: float) -> float:
+    """Validate a significance level alpha in (0, 1)."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    return alpha
+
+
 @dataclass(frozen=True)
 class StatisticValue:
     """Test statistic with provenance.
@@ -81,11 +89,6 @@ def _pairwise_apply(y: np.ndarray, r: np.ndarray, kernel, v: np.ndarray) -> np.n
     values of a lone call on it.
     """
     n, b = y.shape[-2], _BLOCK
-    if n <= b:
-        g = y @ y.swapaxes(-1, -2)
-        diag = np.arange(n)
-        g[..., diag, diag] = r
-        return kernel(g, r, r) @ v
     out = np.zeros(v.shape)
     for i0 in range(0, n, b):
         yi, ri, vi = y[..., i0 : i0 + b, :], r[..., i0 : i0 + b], v[..., i0 : i0 + b, :]

@@ -263,6 +263,13 @@ class TestValidate:
         ) == 0
         assert main(["validate", "--input", "/missing.csv", "--a", "1", "--delta0", "0.1"]) == 1
 
+    @pytest.mark.parametrize("delta0", ["nan", "inf", "0", "-0.1"])
+    def test_bad_delta0_refused(self, tmp_path, capsys, delta0):
+        data = _write_normal_csv(tmp_path / "x.csv", n=30, d=1)
+        assert main(["validate", "--input", data, "--a", "1", f"--delta0={delta0}"]) == 1
+        err = capsys.readouterr().err
+        assert "delta0 must be a positive finite real" in err
+
 
 class TestLimitQuantileCommand:
     def test_runs_small(self, tmp_path):
@@ -275,3 +282,9 @@ class TestLimitQuantileCommand:
         header, row = out.read_text().splitlines()
         assert header.startswith("d,a,alpha,m,ell,seed,quantile")
         assert float(row.split(",")[-1]) > 0.5
+
+    @pytest.mark.parametrize("jitter", ["nan", "inf", "-1e-3"])
+    def test_bad_jitter_refused(self, capsys, jitter):
+        argv = ["limit-quantile", "--d", "1", "--a", "1.0", "--m", "20", "--ell", "100", f"--jitter={jitter}"]
+        assert main(argv) == 1
+        assert "jitter must be a nonnegative finite real" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,9 @@ from normtest import (
     z_n,
 )
 from normtest.inference import (
+    _influence,
+    _projected_influence,
+    _variance_grid,
     laplace_cf_second_derivative,
     logistic_cf_second_derivative,
     p1,
@@ -197,18 +202,9 @@ def _naive_aggregates(sample, a):
     q1v = [float(q1(y[j], a)) for j in range(n)]
     q2v = [np.asarray(q2(y[j], a)) for j in range(n)]
 
-    p1a1 = sum(r[j] * r[k] * p1m[j][k] for j in range(n) for k in range(n)) / n**2 - sum(
-        r[j] * q1v[j] for j in range(n)
-    ) / n
-    p1a1_t = sum(r[j] * r[k] * p1m[j][k] * y[k] for j in range(n) for k in range(n)) / n**2 - sum(
-        r[j] * q1v[j] * y[j] for j in range(n)
-    ) / n
     p1a2_t = sum(r[j] * p1m[j][k] * y[k] for j in range(n) for k in range(n)) / n**2 - sum(
         q1v[j] * y[j] for j in range(n)
     ) / n
-    p1a_bar = sum(
-        r[j] * r[k] * p1m[j][k] * np.outer(y[k], y[k]) for j in range(n) for k in range(n)
-    ) / n**2 - sum(r[j] * np.outer(y[j], y[j]) * q1v[j] for j in range(n)) / n
     p1a2_of = np.array(
         [
             sum(r[k] * float(y[j] @ y[el]) ** 2 * p1m[k][el] for k in range(n) for el in range(n))
@@ -223,9 +219,6 @@ def _naive_aggregates(sample, a):
     p2a1 = sum(
         r[j] * r[k] * float(y[k] @ p2m[j][k]) for j in range(n) for k in range(n)
     ) / n**2 - sum(r[j] * float(y[j] @ q2v[j]) for j in range(n)) / n
-    p2a2 = sum(
-        r[j] * r[k] * float(y[k] @ p1a_bar @ p2m[j][k]) for j in range(n) for k in range(n)
-    ) / n**2 - sum(r[j] * float(y[j] @ p1a_bar @ q2v[j]) for j in range(n)) / n
     p2a_t = sum(r[j] * r[k] * p2m[j][k] for j in range(n) for k in range(n)) / n**2 - sum(
         r[j] * q2v[j] for j in range(n)
     ) / n
@@ -242,7 +235,7 @@ def _naive_aggregates(sample, a):
             for j in range(n)
         ]
     )
-    return p1a1, p1a1_t, p1a2_t, p2a_t, p1a_bar, p1a2_of, p1a3_of, p2a3_of, p2a1, p2a2
+    return p1a2_t, p2a_t, p1a2_of, p1a3_of, p2a3_of, p2a1
 
 
 class TestPAggregates:
@@ -252,18 +245,7 @@ class TestPAggregates:
         a = 0.6
         ag = p_aggregates(sample, a)
         naive = _naive_aggregates(sample, a)
-        fields = (
-            ag.p1a1,
-            ag.p1a1_tilde,
-            ag.p1a2_tilde,
-            ag.p2a_tilde,
-            ag.p1a_bar,
-            ag.p1a2_of,
-            ag.p1a3_of,
-            ag.p2a3_of,
-            ag.p2a1,
-            ag.p2a2,
-        )
+        fields = (ag.p1a2_tilde, ag.p2a_tilde, ag.p1a2_of, ag.p1a3_of, ag.p2a3_of, ag.p2a1)
         for got, want in zip(fields, naive):
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
@@ -276,18 +258,7 @@ class TestPAggregates:
 
     def test_all_finite(self):
         ag = p_aggregates(_sample(33, n=30, d=3), 1.0)
-        for name in (
-            "p1a1",
-            "p1a1_tilde",
-            "p1a2_tilde",
-            "p2a_tilde",
-            "p1a_bar",
-            "p1a2_of",
-            "p1a3_of",
-            "p2a3_of",
-            "p2a1",
-            "p2a2",
-        ):
+        for name in ("p1a2_tilde", "p2a_tilde", "p1a2_of", "p1a3_of", "p2a3_of", "p2a1"):
             assert np.all(np.isfinite(np.asarray(getattr(ag, name))))
 
 
@@ -401,6 +372,49 @@ class TestSigmaHat:
         oracle = sigma_hat_sq_components_quadrature(sample, 0.3)
         np.testing.assert_allclose(closed, oracle, rtol=1e-6, atol=1e-10)
         np.testing.assert_allclose(closed, closed.T, rtol=1e-12)
+        # the closed-form influence matrix is the oracle's, entry by entry
+        for sample, a in ((sample, 0.3), (_sample(54, n=12, d=2), 0.5)):
+            amat = _influence(sample, a)
+            oracle = _projected_influence(sample, a, _variance_grid(sample, None))
+            np.testing.assert_allclose(amat, oracle, rtol=1e-10)
+
+    # sigma^{i,j} (upper triangle, row by row) and sigma_hat, recorded with a
+    # per-entry assembly of the closed form (one identity per sigma^{i,j})
+    FROZEN = {
+        (71, 30, 1, 0.5): (
+            [0.6803484732959145, -0.021216547259559144, -0.421492278371052, -0.1570680779685699,
+             0.0020074205554075717, 0.008909494341562246, 0.011340310937453283,
+             0.3981776378074252, 0.05033147431743954, 0.10127528931611395],
+            0.351308373041989,
+        ),
+        (72, 60, 2, 1.0): (
+            [0.8106289013391856, -0.4327129384666779, -0.0121473696955063, -0.02434001693390142,
+             0.47505503796206544, 0.006623735826002079, -0.09818857690315462,
+             0.029646594693950534, -0.0008171850751626982, 0.1145897849235931],
+            0.5538552305629991,
+        ),
+        (73, 40, 3, 0.2): (
+            [4349.294377248775, -139.01464420612123, -21.2125876163075, -2755.0180621473487,
+             8.623193084344539, 0.7376312700344039, 74.22576490084704,
+             5.872403994995806, 5.595470978110974, 2067.216908230189],
+            27.59771782080421,
+        ),
+        (74, 300, 2, 2.0): (
+            [0.47972815711452094, -0.05426777705769384, -0.06295588349751705, 0.011124713763837519,
+             0.020148551620359237, 0.007435539686984418, -0.023282301245844537,
+             0.043457216323313, -0.008604190715650464, 0.07346711225310083],
+            0.5964069409216547,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FROZEN))
+    def test_frozen_values(self, case):
+        seed, n, d, a = case
+        entries, sigma = self.FROZEN[case]
+        sample = _sample(seed, n=n, d=d)
+        comps = sigma_hat_sq_components(sample, a)
+        np.testing.assert_allclose(comps[np.triu_indices(4)], entries, rtol=1e-12)
+        assert delta_estimate(sample, a).sigma_hat == pytest.approx(sigma, rel=1e-12)
 
     def test_grid_refinement_improves(self):
         # on grids too coarse to resolve the oscillation, each refinement must
@@ -516,10 +530,14 @@ class TestValidation:
         from normtest import DeltaEstimate
 
         est = DeltaEstimate(delta_hat=0.1, sigma_hat=0.1, n=10, d=1, a=1.0)
-        with pytest.raises(ValueError):
-            validation_test(est, delta0=0.0, alpha=0.05)
-        with pytest.raises(ValueError):
-            validation_test(est, delta0=0.1, alpha=1.5)
+        for delta0 in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="delta0 must be a positive finite real"):
+                validation_test(est, delta0=delta0, alpha=0.05)
+        for alpha in (0.0, 1.0, 1.5, np.nan):
+            with pytest.raises(ValueError, match=re.escape("alpha must be in (0, 1)")):
+                validation_test(est, delta0=0.1, alpha=alpha)
+            with pytest.raises(ValueError, match=re.escape("alpha must be in (0, 1)")):
+                confidence_interval(est, alpha)
 
 
 class TestAsymptoticNormality:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -223,8 +224,11 @@ class TestCriticalValue:
             critical_value([], 0.1)
 
     def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            critical_value([1.0], 0.0)
+        for alpha in (0.0, 1.0, np.nan):
+            with pytest.raises(ValueError, match=re.escape("alpha must be in (0, 1)")):
+                critical_value([1.0], alpha)
+            with pytest.raises(ValueError, match=re.escape("alpha must be in (0, 1)")):
+                limit_quantile(1, 1.0, alpha, LimitSamplerConfig(m=10, ell=10))
 
 
 class TestPvalue:
@@ -332,8 +336,9 @@ class TestLimitQuantile:
             LimitSamplerConfig(m=1)
         with pytest.raises(ValueError):
             LimitSamplerConfig(ell=0)
-        with pytest.raises(ValueError):
-            LimitSamplerConfig(jitter=-1e-3)
+        for jitter in (-1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError, match="jitter must be a nonnegative finite real"):
+                LimitSamplerConfig(jitter=jitter)
 
     def test_rough_location_small_run(self):
         # coarse run should already land in the right neighborhood of 1.765

@@ -39,14 +39,16 @@ class TestParse:
             parse_spec("wat")
         with pytest.raises(ValueError):
             parse_spec("spherical:")
-        for text in ("t:nu=inf", "nmix:p=nan", "nmix:p=0.5,mu=I", "lognormal:sigma=0", "uniform(5)", "beta(,4)"):
+        for text in ("t:nu=inf", "nmix:p=nan", "nmix:p=0.5,mu=I", "lognormal:sigma=0", "uniform(5)", "beta(,4)",
+                     "t:nu=3,nu=5", "nmix:p=0.1,p=0.9"):
             with pytest.raises(ValueError):
                 parse_spec(text)
 
     @pytest.mark.parametrize(
         "text,form",
         [("t", "t(nu)"), ("gamma:shape=2", "gamma(shape, rate)"), ("t:df=5", "t(nu)"),
-         ("uniform:scale=5", "uniform()"), ("exp:rate=1,x=2", "exp(rate=1)"), ("t:nu=I", "t(nu)")],
+         ("uniform:scale=5", "uniform()"), ("exp:rate=1,x=2", "exp(rate=1)"), ("t:nu=I", "t(nu)"),
+         ("t:nu=3,nu=5", "t(nu) takes 'nu' once"), ("nmix:p=0.1,p=0.9", "nmix(p, mu=0, sigma=1) takes 'p' once")],
     )
     def test_refusal_names_the_kind_and_its_parameters(self, text, form):
         with pytest.raises(ValueError, match=re.escape(form)):

@@ -32,3 +32,12 @@ def test_power_study_alternatives_parse():
     spec.loader.exec_module(study)
     for text in study.MULTIVARIATE_ALTS + study.UNIVARIATE_ALTS:
         parse_spec(text)
+
+
+def test_benchmark_tracing_boundaries_resolve():
+    # perfbench wraps these module attributes; renaming one must fail here too
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _, _ in tracing.BOUNDARIES:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"

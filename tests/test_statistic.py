@@ -104,7 +104,7 @@ class TestClosedForm:
                 mardia_skewness(sample),
                 sigma_hat_sq(sample, 0.7),
             ]
-            vectors = [ag.p1a2_of, ag.p1a3_of, ag.p2a3_of, ag.p1a1_tilde, ag.p1a2_tilde, ag.p2a_tilde]
+            vectors = [ag.p1a2_of, ag.p1a3_of, ag.p2a3_of, ag.p1a2_tilde, ag.p2a_tilde]
             return scalars, vectors
 
         monkeypatch.setattr(statistic, "_BLOCK", 2048)
