@@ -25,6 +25,18 @@ DISTS = {
 # Fixed substream ids: str hashes are randomized per process.
 DISTS_ID = {"uniform": 0, "laplace": 1, "logistic": 2}
 
+
+def coverage(spec, n, a, alpha, target, rngs) -> float:
+    """Percentage of samples, one of size n from each generator, whose interval covers target."""
+    hits = reps = 0
+    for rng in rngs:
+        est = delta_estimate(scaled_residuals(sample(spec, n, rng)), a)
+        ci = confidence_interval(est, alpha)
+        hits += ci.lower <= target <= ci.upper
+        reps += 1
+    return 100.0 * hits / reps
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--a", type=float, default=0.1)
@@ -40,12 +52,7 @@ if __name__ == "__main__":
     for n in sizes:
         row = [str(n)]
         for name in DISTS:
-            spec = parse_spec(name)
-            hits = 0
-            for i in range(args.reps):
-                rng = substream(args.seed, DISTS_ID[name], n, i)
-                est = delta_estimate(scaled_residuals(sample(spec, n, rng)), args.a)
-                ci = confidence_interval(est, args.alpha)
-                hits += ci.lower <= targets[name] <= ci.upper
-            row.append(f"{100.0 * hits / args.reps:.1f}")
+            rngs = (substream(args.seed, DISTS_ID[name], n, i) for i in range(args.reps))
+            pct = coverage(parse_spec(name), n, args.a, args.alpha, targets[name], rngs)
+            row.append(f"{pct:.1f}")
         print(",".join(row), flush=True)

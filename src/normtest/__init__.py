@@ -13,7 +13,6 @@ from .competitors import CompetitorSpec, bcmr, be, bhep, evaluate, hjg, hv, hv_i
 from .inference import (
     ConfidenceInterval,
     DeltaEstimate,
-    PAggregates,
     PsiBundle,
     ValidationResult,
     confidence_interval,
@@ -66,7 +65,6 @@ __all__ = [
     "DeltaEstimate",
     "KernelNotPSD",
     "LimitSamplerConfig",
-    "PAggregates",
     "PsiBundle",
     "QuadratureSpec",
     "SingularCovariance",

@@ -9,11 +9,13 @@ resulting confidence interval for Delta_a, and the inverse
 The variance estimator is assembled from closed-form integrals of the
 trigonometric sums against the Gaussian weight.  Writing
 A_i(Y_k) = int v_i(s, Y_k) z_n(s) w_a(s) ds for the four influence-function
-pieces v_1..v_4, the (4, n) influence matrix A gives the per-pair components
-sigma^{i,j} = (4/n) sum_k A_i(Y_k) A_j(Y_k), i.e. the Gram matrix 4 A A^T / n,
-and the estimator (4/n) sum_k (sum_i A_i(Y_k))^2 is their sum.  The closed form
-builds A from one pairwise pass (:func:`p_aggregates`); the independent oracle
-builds it by tensor-grid quadrature (d <= 2).  Both share one assembly.
+pieces v_1..v_4, the estimator is the sum of squares
+sigma_hat^2 = (4/n) sum_k (sum_i A_i(Y_k))^2, so it is never negative.  Its
+per-pair components sigma^{i,j} = (4/n) sum_k A_i(Y_k) A_j(Y_k), the Gram
+matrix 4 A A^T / n, sum to it and serve for diagnosis.  The closed form builds
+the (4, n) influence matrix A from one pairwise pass (:func:`p_aggregates`);
+the independent oracle builds it by tensor-grid quadrature (d <= 2).  Both
+share the same two reductions.
 """
 
 from __future__ import annotations
@@ -143,25 +145,8 @@ def q2(y, a: float) -> np.ndarray:
     return out[0] if single else out
 
 
-@dataclass(frozen=True)
-class PAggregates:
-    """Sample aggregates of the q/p kernels entering the influence matrix.
-
-    d-vectors ``p1a2_tilde``, ``p2a_tilde``; per-observation vectors (length
-    n) ``p1a2_of``, ``p1a3_of``, ``p2a3_of``; scalar ``p2a1``, which equals the
-    mean of ``p2a3_of`` for standardized residuals.
-    """
-
-    p1a2_tilde: np.ndarray
-    p2a_tilde: np.ndarray
-    p1a2_of: np.ndarray
-    p1a3_of: np.ndarray
-    p2a3_of: np.ndarray
-    p2a1: float
-
-
-def p_aggregates(sample: StandardizedSample, a: float) -> PAggregates:
-    """All q/p aggregates in O(n^2 d) time and O(block^2 + nd) memory.
+def p_aggregates(sample: StandardizedSample, a: float) -> np.ndarray:
+    """(4, n) influence matrix of A_i(Y_k) in closed form, O(n^2 d) time, O(block^2 + nd) memory.
 
     The only pairwise pass is E @ [r, r Y] with E[j, k] = exp(-||Y_j - Y_k||^2/(4a));
     sum_l (Y_k . Y_l)^2 p_l factorizes as Y_k^T (Y^T diag(p) Y) Y_k.
@@ -189,23 +174,7 @@ def p_aggregates(sample: StandardizedSample, a: float) -> PAggregates:
     cmat = (w.T * r) @ y / n
     p2a3 = np.einsum("kp,pq,kq->k", y, cmat, y)
 
-    return PAggregates(
-        p1a2_tilde=p1a2_tilde,
-        p2a_tilde=p2a_tilde,
-        p1a2_of=p12,
-        p1a3_of=p13,
-        p2a3_of=p2a3,
-        p2a1=p2a1,
-    )
-
-
-def _influence(sample: StandardizedSample, a: float) -> np.ndarray:
-    """(4, n) matrix of A_i(Y_k) in closed form, from one :func:`p_aggregates` pass."""
-    y = sample.residuals
-    r = np.einsum("ij,ij->i", y, y)
-    ag = p_aggregates(sample, a)
-    v = 2.0 * ag.p1a2_tilde + ag.p2a_tilde
-    return np.stack([r * ag.p1a3_of, -0.5 * (ag.p2a3_of - ag.p2a1), -(y @ v), -ag.p1a2_of])
+    return np.stack([r * p13, -0.5 * (p2a3 - p2a1), -(y @ (2.0 * p1a2_tilde + p2a_tilde)), -p12])
 
 
 def _components(amat: np.ndarray) -> np.ndarray:
@@ -213,29 +182,35 @@ def _components(amat: np.ndarray) -> np.ndarray:
     return 4.0 * (amat @ amat.T) / amat.shape[1]
 
 
+def _sigma_sq(amat: np.ndarray) -> float:
+    """(4/n) sum_k (sum_i A_i(Y_k))^2: the sum of the sigma^{i,j}, as a sum of squares."""
+    return 4.0 * float(np.mean(amat.sum(axis=0) ** 2))
+
+
 def sigma_hat_sq_components(sample: StandardizedSample, a: float) -> np.ndarray:
     """Symmetric 4x4 matrix of variance components sigma^{i,j}."""
-    return _components(_influence(sample, a))
+    return _components(p_aggregates(sample, a))
 
 
 def sigma_hat_sq(sample: StandardizedSample, a: float) -> float:
-    """Consistent estimator of the asymptotic variance of sqrt(n) T/n.
-
-    Negative totals can only arise from roundoff (the estimator is a sum of
-    squares in exact arithmetic) and are clipped to zero.
-    """
-    s = sigma_hat_sq_components(sample, a)
-    total = float(np.sum(s))
-    return max(total, 0.0)
+    """Consistent estimator of the asymptotic variance of sqrt(n) T/n; nonnegative by construction."""
+    return _sigma_sq(p_aggregates(sample, a))
 
 
-def _projected_influence(sample: StandardizedSample, a: float, grid: QuadratureSpec) -> np.ndarray:
-    """(4, n) matrix of A_i(Y_k) = int v_i(s, Y_k) z_n(s) w_a(s) ds on a grid.
+def _projected_influence(
+    sample: StandardizedSample, a: float, grid: QuadratureSpec | None = None
+) -> np.ndarray:
+    """(4, n) matrix of A_i(Y_k) = int v_i(s, Y_k) z_n(s) w_a(s) ds on a grid, d <= 2.
 
     v_1..v_4 are built from the PsiBundle sums evaluated at the grid nodes;
     the double integral defining each sigma^{i,j} then factorizes through
     these projections, so the cost is one grid pass, not a grid-squared pass.
     """
+    a = check_tuning(a)
+    if sample.d > 2:
+        raise UnsupportedDimension(f"variance quadrature oracle supports d <= 2, got d={sample.d}")
+    if grid is None:
+        grid = QuadratureSpec(points=1200 if sample.d == 1 else 180)
     y = sample.residuals
     n, d = y.shape
     pts, wt = grid.grid(a, d)
@@ -257,32 +232,27 @@ def _projected_influence(sample: StandardizedSample, a: float, grid: QuadratureS
     return np.stack([coef @ v for v in (v1, v2, v3, v4)])
 
 
-def _variance_grid(sample: StandardizedSample, grid: QuadratureSpec | None) -> QuadratureSpec:
-    if sample.d > 2:
-        raise UnsupportedDimension(f"variance quadrature oracle supports d <= 2, got d={sample.d}")
-    if grid is None:
-        grid = QuadratureSpec(points=1200 if sample.d == 1 else 180)
-    return grid
-
-
 def sigma_hat_sq_quadrature(
     sample: StandardizedSample, a: float, grid: QuadratureSpec | None = None
 ) -> float:
     """Oracle: 4 iint L_n(s,t) z_n(s) z_n(t) w_a(s) w_a(t) ds dt, d <= 2."""
-    return float(np.sum(sigma_hat_sq_components_quadrature(sample, a, grid)))
+    return _sigma_sq(_projected_influence(sample, a, grid))
 
 
 def sigma_hat_sq_components_quadrature(
     sample: StandardizedSample, a: float, grid: QuadratureSpec | None = None
 ) -> np.ndarray:
     """Per-(i,j) quadrature components, for diagnosis against the closed form."""
-    a = check_tuning(a)
-    return _components(_projected_influence(sample, a, _variance_grid(sample, grid)))
+    return _components(_projected_influence(sample, a, grid))
 
 
 @dataclass(frozen=True)
 class DeltaEstimate:
-    """Point estimate T/n of the normality distance with its standard error."""
+    """Point estimate T/n of the normality distance with its standard error.
+
+    ``clipped`` is always False: sigma_hat^2 is a sum of squares and cannot be
+    negative.  The field stays so the csv and json columns keep their layout.
+    """
 
     delta_hat: float
     sigma_hat: float
@@ -298,14 +268,12 @@ def delta_estimate(sample: StandardizedSample, a: float) -> DeltaEstimate:
 
     a = check_tuning(a)
     stat = t_statistic(sample, a)
-    raw = float(np.sum(sigma_hat_sq_components(sample, a)))
     return DeltaEstimate(
         delta_hat=stat.value / sample.n,
-        sigma_hat=float(np.sqrt(max(raw, 0.0))),
+        sigma_hat=math.sqrt(sigma_hat_sq(sample, a)),
         n=sample.n,
         d=sample.d,
         a=a,
-        clipped=raw < 0.0,
     )
 
 

@@ -6,8 +6,10 @@ Set NORMTEST_ACCEPT_FAST=1 to run criterion 4 in its sanctioned fast mode
 (10^4 replications at the widened +-0.04 tolerance).
 """
 
+import importlib.util
 import json
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -16,10 +18,8 @@ import pytest
 from normtest import (
     LimitSamplerConfig,
     bhep,
-    confidence_interval,
     critical_value,
     delta_a_univariate,
-    delta_estimate,
     expected_limit,
     hjg,
     hv,
@@ -45,6 +45,7 @@ from normtest.samplers import parse_spec
 from normtest.statistic import mrs_skewness, mardia_kurtosis
 from conftest import make_rng, random_invertible
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 FAST = bool(os.environ.get("NORMTEST_ACCEPT_FAST"))
 WORKERS = 2
 
@@ -170,17 +171,12 @@ DELTA_LAPLACE = 0.1270647554480677
 
 
 def _coverage(dist: str, n: int, delta_true: float, reps: int, seed: int) -> float:
-    hits = 0
-    for i in range(reps):
-        rng = make_rng(seed + i)
-        if dist == "uniform":
-            x = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(n, 1))
-        else:
-            x = rng.laplace(0.0, 1.0 / np.sqrt(2.0), size=(n, 1))
-        est = delta_estimate(scaled_residuals(x), 0.1)
-        ci = confidence_interval(est, 0.05)
-        hits += ci.lower <= delta_true <= ci.upper
-    return 100.0 * hits / reps
+    # the coverage loop of scripts/coverage_study.py, on make_rng(seed + i) draws
+    spec = importlib.util.spec_from_file_location("coverage_study", ROOT / "scripts" / "coverage_study.py")
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    rngs = (make_rng(seed + i) for i in range(reps))
+    return study.coverage(parse_spec(dist), n, 0.1, 0.05, delta_true, rngs)
 
 
 def test_criterion_08_coverage():

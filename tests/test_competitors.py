@@ -19,7 +19,7 @@ from normtest import (
     mrs_skewness,
     scaled_residuals,
 )
-from normtest.competitors import parse_competitor
+from normtest.competitors import _TABLE, parse_competitor
 from conftest import make_rng, random_invertible
 
 TWO_POINT = StandardizedSample.from_residuals([[-1.0], [1.0]])
@@ -100,16 +100,38 @@ class TestHv:
         assert hv(scaled_residuals(moved), 5.0) == pytest.approx(base, rel=1e-8)
 
 
+def _outlier_data(n):
+    x = make_rng(21).standard_normal((n, 2))
+    x[0] = (1000.0, 0.0)
+    return x
+
+
 class TestOutlier:
     def test_one_outlier_gives_no_nan(self):
-        # unscaled, exp(||Y_j + Y_k||^2 / (4 beta)) overflows and hjg was inf - inf
-        x = make_rng(21).standard_normal((3000, 2))
-        x[0] = (1000.0, 0.0)
-        s = scaled_residuals(x)
+        # unscaled, exp(||Y_j + Y_k||^2 / (4 beta)) overflows and hjg was inf - inf;
+        # scaled, the Monte Carlo path gives +inf (a rejection) and the public
+        # path a finite value or a ValueError
+        x = _outlier_data(3000)
         with np.errstate(over="ignore"):
-            values = hjg(s, 1.5), hv(s, 5.0)
-        assert not any(math.isnan(v) for v in values)
-        assert all(v > 0.0 for v in values)
+            stacked = [_TABLE[kind].statistic(x[None], t)[0] for kind, t in (("hjg", 1.5), ("hv", 5.0))]
+            assert stacked[0] == math.inf
+            assert 0.0 < stacked[1] < math.inf
+            assert hv(scaled_residuals(x), 5.0) > 0.0
+            with pytest.raises(ValueError):
+                hjg(scaled_residuals(x), 1.5)
+
+    @pytest.mark.parametrize("kind,tuning,n", [("hjg", 1.5, 3000), ("hv", 5.0, 6000)])
+    def test_overflow_is_refused_on_the_public_path(self, kind, tuning, n):
+        x = _outlier_data(n)
+        s = scaled_residuals(x)
+        rmax = float(np.max(np.einsum("ij,ij->i", s.residuals, s.residuals)))
+        fn = {"hjg": hjg, "hv": hv}[kind]
+        with np.errstate(over="ignore"):
+            for call in (lambda: fn(s, tuning), lambda: evaluate(CompetitorSpec(kind, tuning), x)):
+                with pytest.raises(ValueError) as err:
+                    call()
+                msg = str(err.value)
+                assert f"{kind}:{tuning:g}" in msg and f"n={n}" in msg and f"{rmax:.6g}" in msg
 
 
 class TestHvInf:
@@ -154,6 +176,18 @@ class TestBcmr:
             expected = (phi(ndtri(lo)) if k > 1 else 0.0) - (phi(ndtri(hi)) if k < n else 0.0)
             assert val == pytest.approx(expected, abs=2e-7)
 
+    def test_matches_per_interval_quadrature(self):
+        # the closed-form interval integrals against one quad per order statistic
+        for n in (2, 7, 40):
+            x = make_rng(12 + n).standard_t(4, size=(n, 1))
+            xs = np.sort(x[:, 0])
+            parts = [quad(ndtri, (k - 1) / n, k / n, epsabs=1e-12, limit=200)[0] for k in range(1, n + 1)]
+            acc = sum(xk * part for xk, part in zip(xs, parts))
+            phi = lambda u: math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
+            integrand = lambda t: t * (1 - t) / phi(ndtri(t)) ** 2
+            tail = quad(integrand, 1 / (n + 1), n / (n + 1), epsabs=1e-9, limit=200)[0]
+            assert bcmr(x) == pytest.approx(n * (1 - acc**2 / np.var(xs)) - tail, rel=1e-9, abs=1e-9)
+
     def test_null_critical_value_stable_across_seeds(self):
         crits = []
         for seed in (1, 2):
@@ -166,6 +200,11 @@ class TestBcmr:
     def test_univariate_only(self):
         with pytest.raises(ValueError):
             bcmr(np.zeros((10, 2)))
+
+    def test_constant_sample_refused(self):
+        for call in (lambda x: bcmr(x), lambda x: evaluate(CompetitorSpec("bcmr"), x)):
+            with pytest.raises(ValueError, match="not constant"):
+                call(np.full((10, 1), 3.0))
 
 
 class TestBe:

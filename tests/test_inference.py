@@ -19,9 +19,7 @@ from normtest import (
     z_n,
 )
 from normtest.inference import (
-    _influence,
     _projected_influence,
-    _variance_grid,
     laplace_cf_second_derivative,
     logistic_cf_second_derivative,
     p1,
@@ -192,8 +190,9 @@ class TestKernelIntegrals:
             assert got == pytest.approx(q2(y, a)[k], rel=1e-6, abs=1e-9)
 
 
-def _naive_aggregates(sample, a):
-    """Literal double/triple loops over the displayed aggregate definitions."""
+def _naive_influence(sample, a):
+    """The (4, n) influence matrix from literal double/triple loops over the
+    displayed aggregate definitions."""
     y = sample.residuals
     n, d = y.shape
     r = [float(yy @ yy) for yy in y]
@@ -235,7 +234,9 @@ def _naive_aggregates(sample, a):
             for j in range(n)
         ]
     )
-    return p1a2_t, p2a_t, p1a2_of, p1a3_of, p2a3_of, p2a1
+    r = np.array(r)
+    v = 2.0 * p1a2_t + p2a_t
+    return np.stack([r * p1a3_of, -0.5 * (p2a3_of - p2a1), -(y @ v), -p1a2_of])
 
 
 class TestPAggregates:
@@ -243,23 +244,21 @@ class TestPAggregates:
     def test_naive_loop_oracle(self, d, seed):
         sample = _sample(seed, n=10, d=d)
         a = 0.6
-        ag = p_aggregates(sample, a)
-        naive = _naive_aggregates(sample, a)
-        fields = (ag.p1a2_tilde, ag.p2a_tilde, ag.p1a2_of, ag.p1a3_of, ag.p2a3_of, ag.p2a1)
-        for got, want in zip(fields, naive):
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        naive = _naive_influence(sample, a)
+        np.testing.assert_allclose(p_aggregates(sample, a), naive, rtol=1e-9, atol=1e-12)
 
     def test_two_point_p1a3_hand_identity(self):
+        # A_1(Y_k) = r_k P^{1,a,3}(Y_k), and r_k = 1 at both points
         a = 0.8
-        ag = p_aggregates(TWO_POINT, a)
+        amat = p_aggregates(TWO_POINT, a)
         for j, yj in enumerate([-1.0, 1.0]):
             expected = 0.5 * (p1([yj], [-1.0], a) + p1([yj], [1.0], a)) - q1([yj], a)
-            assert ag.p1a3_of[j] == pytest.approx(expected, rel=1e-12)
+            assert amat[0, j] == pytest.approx(expected, rel=1e-12)
 
     def test_all_finite(self):
-        ag = p_aggregates(_sample(33, n=30, d=3), 1.0)
-        for name in ("p1a2_tilde", "p2a_tilde", "p1a2_of", "p1a3_of", "p2a3_of", "p2a1"):
-            assert np.all(np.isfinite(np.asarray(getattr(ag, name))))
+        amat = p_aggregates(_sample(33, n=30, d=3), 1.0)
+        assert amat.shape == (4, 30)
+        assert np.all(np.isfinite(amat))
 
 
 def _l_matrix_from_psi(sample, s, t):
@@ -374,8 +373,8 @@ class TestSigmaHat:
         np.testing.assert_allclose(closed, closed.T, rtol=1e-12)
         # the closed-form influence matrix is the oracle's, entry by entry
         for sample, a in ((sample, 0.3), (_sample(54, n=12, d=2), 0.5)):
-            amat = _influence(sample, a)
-            oracle = _projected_influence(sample, a, _variance_grid(sample, None))
+            amat = p_aggregates(sample, a)
+            oracle = _projected_influence(sample, a)
             np.testing.assert_allclose(amat, oracle, rtol=1e-10)
 
     # sigma^{i,j} (upper triangle, row by row) and sigma_hat, recorded with a
@@ -415,6 +414,18 @@ class TestSigmaHat:
         comps = sigma_hat_sq_components(sample, a)
         np.testing.assert_allclose(comps[np.triu_indices(4)], entries, rtol=1e-12)
         assert delta_estimate(sample, a).sigma_hat == pytest.approx(sigma, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sum_of_squares_is_the_component_sum(self, d):
+        # sigma_hat^2 = (4/n) sum_k (sum_i A_i(Y_k))^2 cannot be negative, and
+        # it equals the sum of the 16 Gram components up to their cancellation
+        for i, n in enumerate((d + 2, d + 4, 12)):
+            sample = _sample(7600 + 10 * d + i, n=n, d=d)
+            for a in (1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
+                total = sigma_hat_sq(sample, a)
+                comps = sigma_hat_sq_components(sample, a)
+                assert total >= 0.0
+                assert abs(total - comps.sum()) <= 1e-11 * np.abs(comps).sum()
 
     def test_grid_refinement_improves(self):
         # on grids too coarse to resolve the oscillation, each refinement must
