@@ -62,8 +62,18 @@ def _render_rows(fmt: str, header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _seed(value: str) -> int:
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--workers", type=int, default=0, help="0 = all cores; NORMTEST_THREADS overrides")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--output", default=None, help="also write the rendered output to this file")

@@ -117,7 +117,9 @@ def hjg(sample: StandardizedSample, beta: float) -> float:
     a float raises a ValueError.
     """
     y = sample.residuals
-    return _finite("hjg", beta, y, _hjg(y, _check_tuning("hjg", beta)))
+    with np.errstate(over="ignore"):  # an overflow raises in _finite, without a warning first
+        value = _hjg(y, _check_tuning("hjg", beta))
+    return _finite("hjg", beta, y, value)
 
 
 def _hjg(y: np.ndarray, beta: float) -> np.ndarray:
@@ -145,7 +147,9 @@ def _hjg(y: np.ndarray, beta: float) -> np.ndarray:
 def hv(sample: StandardizedSample, gamma: float) -> float:
     """MGF differential-characterization statistic; gamma > 2; scaled and checked as in :func:`hjg`."""
     y = sample.residuals
-    return _finite("hv", gamma, y, _hv(y, _check_tuning("hv", gamma)))
+    with np.errstate(over="ignore"):
+        value = _hv(y, _check_tuning("hv", gamma))
+    return _finite("hv", gamma, y, value)
 
 
 def _hv(y: np.ndarray, gamma: float) -> np.ndarray:
@@ -274,5 +278,6 @@ def evaluate(spec: CompetitorSpec, data) -> float:
     A value that overflowed raises a ValueError, as in :func:`hjg`.
     """
     x = as_data_matrix(data) if spec.kind == "bcmr" else _whitenable(data)
-    value = float(_TABLE[spec.kind].statistic(x, spec.tuning))
+    with np.errstate(over="ignore"):
+        value = float(_TABLE[spec.kind].statistic(x, spec.tuning))
     return value if math.isfinite(value) else _finite(spec.kind, spec.tuning, _whiten(x)[0], value)

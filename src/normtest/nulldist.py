@@ -10,8 +10,10 @@ form of the limit mean E(T_inf).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,20 +109,22 @@ _NULL = AlternativeSpec("std")
 
 
 def _rep(
-    rngs: list[np.random.Generator], alt: AlternativeSpec, n: int, d: int, column: float | CompetitorSpec
+    rngs: Collection[np.random.Generator], alt: AlternativeSpec, n: int, d: int, column: float | CompetitorSpec
 ) -> np.ndarray:
     """Every Monte Carlo replication: ``column`` (T at a float ``a``, or a competitor)
     on one draw from ``alt`` per generator, which is ``_NULL`` for a null distribution.
 
-    Replication k draws from ``rngs[k]`` only.  The draws are stacked
-    ``_BLOCK^2 // n^2`` at a time (at least one), the pairwise kernel's memory
-    budget, and each stack is whitened and evaluated at once; every value is
-    bit for bit that of the sample on its own.
+    Replication k draws from the k-th generator only, and its draw is made
+    before the next generator is taken, as :func:`parallel.map_replications`
+    requires.  The draws are stacked ``_BLOCK^2 // n^2`` at a time (at least
+    one), the pairwise kernel's memory budget, and each stack is whitened and
+    evaluated at once; every value is bit for bit that of the sample on its own.
     """
     block = max(1, statistic._BLOCK**2 // n**2)
     out = np.empty(len(rngs))
+    stream = iter(rngs)
     for lo in range(0, len(rngs), block):
-        xs = np.stack([sample(alt, n, rng, d=d) for rng in rngs[lo : lo + block]])
+        xs = np.stack([sample(alt, n, rng, d=d) for rng in itertools.islice(stream, block)])
         if isinstance(column, CompetitorSpec):
             out[lo : lo + block] = _TABLE[column.kind].statistic(xs, column.tuning)
         else:

@@ -5,12 +5,16 @@ seed as ``derive_seed(master, purpose, *cell)``; replication i then draws from
 ``substream(cell_seed, i)`` only, so the full vector of results is
 bit-for-bit identical for any worker count, any chunking and any resume.
 The unit of work is a chunk of consecutive replications: one call of the
-replication function gets the chunk's substreams, in index order, and
-returns one value per substream.  Results are gathered in replication order.
+replication function gets the chunk's substreams as a lazy sequence in index
+order, and returns one value per substream.  The sequence hands out one
+reused generator, reseeded per replication, so the function must consume
+item k before it takes item k+1 and keep no reference to it.  Results are
+gathered in replication order.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 import sys
 import tempfile
@@ -49,14 +53,104 @@ def resolve_workers(workers: int | None) -> int:
     """Worker count: NORMTEST_THREADS overrides, else the argument, else 1."""
     env = os.environ.get(ENV_WORKERS)
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = -1
+        if count < 0:
+            raise ValueError(f"{ENV_WORKERS} must be a non-negative integer, got {env!r}")
+        return max(1, count)
     if workers is None or workers <= 0:
         return max(1, os.cpu_count() or 1)
     return workers
 
 
+# numpy's SeedSequence hash constants (pool of four 32-bit words) and the
+# PCG64 multiplier: _streams repeats numpy's seeding arithmetic with them.
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hash of 32-bit ``value`` (an int or a uint64 array), and the next constant."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+class _streams:
+    """``substream(seed, i)`` for i in lo..hi-1, in order, as one reused Generator.
+
+    ``SeedSequence(seed, spawn_key=(i,))`` differs between replications only
+    in its last entropy word, i, so the pool is mixed from the seed's words
+    once and i is mixed in as an array over the chunk, followed by
+    ``generate_state(4, uint64)``.  Each hash then gives the PCG64 state
+    ``default_rng`` would seed, which the one Generator takes in turn.  An
+    index of 2**32 or more is two key words, and comes from :func:`substream`.
+    Consume item k before taking item k+1, and keep no reference to it.
+    """
+
+    def __init__(self, seed: int, lo: int, hi: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        self.seed, self.lo, self.hi = seed, lo, hi
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def __iter__(self):
+        split = max(self.lo, min(self.hi, 2**32))
+        # the seed's 32-bit words, low first, padded with zeros to the pool size
+        nwords = max(_POOL, (self.seed.bit_length() + 31) // 32)
+        words = [self.seed >> 32 * k & _MASK32 for k in range(nwords)]
+        pool, const = [], _INIT_A
+        for w in words[:_POOL]:
+            h, const = _hashmix(w, const, _MULT_A)
+            pool.append(h)
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    h, const = _hashmix(pool[src], const, _MULT_A)
+                    pool[dst] = _mix(pool[dst], h)
+        for w in [*words[_POOL:], np.arange(self.lo, split, dtype=np.uint64)]:
+            for dst in range(_POOL):
+                h, const = _hashmix(w, const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+        state, const = [], _INIT_B
+        for k in range(2 * _POOL):
+            h, const = _hashmix(pool[k % _POOL], const, _MULT_B)
+            state.append(h)
+        # little-endian uint32 pairs are the words s0, s1, i0, i1 of generate_state
+        s0, s1, i0, i1 = ((state[k] | state[k + 1] << 32).tolist() for k in range(0, 2 * _POOL, 2))
+        rng = np.random.Generator(np.random.PCG64(0))
+        bitgen = rng.bit_generator
+        for a, b, c, e in zip(s0, s1, i0, i1):
+            # pcg64_set_seed: state = ((inc + initstate) * M + inc) mod 2**128
+            inc = ((c << 64 | e) << 1 | 1) & _MASK128
+            pcg = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": pcg, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+        for i in range(split, self.hi):
+            yield substream(self.seed, i)
+
+
 def _run_range(fn, seed: int, lo: int, hi: int, args: tuple) -> np.ndarray:
-    return fn([substream(seed, i) for i in range(lo, hi)], *args)
+    return fn(_streams(seed, lo, hi), *args)
 
 
 def _load_checkpoint(path: str, meta: str) -> np.ndarray | None:
@@ -96,9 +190,11 @@ def map_replications(
     """Evaluate replications 0..replications-1, replication i on ``substream(seed, i)``.
 
     ``fn(rngs, *args)`` gets the substreams of one chunk of consecutive
-    replications, as a list in index order, and returns one float per
-    substream; value k must depend on ``rngs[k]`` only.  It must be a
-    picklable module-level callable.
+    replications, as a lazy sequence in index order (``len(rngs)`` is the
+    chunk size), and returns one float per substream; value k must depend on
+    the k-th substream only.  The sequence reuses one generator, so ``fn``
+    must consume item k before it takes item k+1 and keep no reference to
+    it.  ``fn`` must be a picklable module-level callable.
     With ``checkpoint`` set, the completed prefix is persisted whenever it
     crosses a multiple of :data:`CHECKPOINT_EVERY` replications and at the
     end, and reused on rerun when
@@ -120,8 +216,9 @@ def map_replications(
         return out
 
     # Chunks small enough to parallelize and to checkpoint, fixed relative to
-    # replication indices so chunking never affects values.  A chunk's
-    # substreams all exist while it runs (about 0.9 kB each), hence the cap.
+    # replication indices so chunking never affects values.  A chunk holds one
+    # generator and its replications' hashed seeds (under 0.3 kB each); the cap
+    # keeps progress and a single worker's units of work fine-grained.
     chunk = min(CHECKPOINT_EVERY, 1_000, max(64, (replications - start) // (8 * nworkers) or 64))
     ranges = [(lo, min(lo + chunk, replications)) for lo in range(start, replications, chunk)]
 

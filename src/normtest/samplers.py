@@ -24,6 +24,7 @@ have unit variance; pvii(theta) has density c (1+x^2)^-theta.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -164,17 +165,26 @@ def _mt(rng, n, d, spec):
     return z / np.sqrt(rng.chisquare(nu, size=n) / nu)[:, None]
 
 
-def _nmix(rng, n, d, spec):
-    p, mu, sigma = spec.values
+@functools.lru_cache
+def _nmix_factor(sigma, d: int) -> np.ndarray:
+    """Cholesky factor, read-only, of the covariance of nmix's second component."""
     if isinstance(sigma, str):
         if d == 1:
-            raise ValueError(f"{spec.kind} sigma={sigma} is a matrix, for d >= 2; give a variance at d = 1")
+            raise ValueError(f"nmix sigma={sigma} is a matrix, for d >= 2; give a variance at d = 1")
         cov = _MATRIX[sigma](d)
     else:
         cov = sigma * np.eye(d)
+    factor = np.linalg.cholesky(cov)
+    factor.flags.writeable = False
+    return factor
+
+
+def _nmix(rng, n, d, spec):
+    p, mu, sigma = spec.values
+    factor = _nmix_factor(sigma, d)
     out = rng.standard_normal((n, d))
     pick = rng.random(n) < p
-    out[pick] = mu + rng.standard_normal((int(pick.sum()), d)) @ np.linalg.cholesky(cov).T
+    out[pick] = mu + rng.standard_normal((int(pick.sum()), d)) @ factor.T
     return out
 
 

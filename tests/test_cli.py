@@ -73,6 +73,14 @@ class TestTestCommand:
         assert main(["test", "--input", "/nonexistent.csv", "--a", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["test", "--a", "1"], ["power", "--alt", "std", "--n", "20", "--a", "1"]])
+    def test_negative_seed_refused_before_simulating(self, tmp_path, capsys, command):
+        data = ["--input", _write_normal_csv(tmp_path / "x.csv", n=30)] if command[0] == "test" else []
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, *data, "--seed", "-3"])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2 and "--seed" in err and "simulating" not in err
+
 
 class TestCritTable:
     def test_json_round_trip_and_rerun(self, tmp_path):

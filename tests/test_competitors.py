@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestOutlier:
                     call()
                 msg = str(err.value)
                 assert f"{kind}:{tuning:g}" in msg and f"n={n}" in msg and f"{rmax:.6g}" in msg
+
+    @pytest.mark.parametrize("kind,tuning,n", [("hjg", 1.5, 3000), ("hv", 5.0, 6000)])
+    def test_no_warning_before_the_error(self, kind, tuning, n):
+        x = _outlier_data(n)
+        s = scaled_residuals(x)
+        fn = {"hjg": hjg, "hv": hv}[kind]
+        for call in (lambda: fn(s, tuning), lambda: evaluate(CompetitorSpec(kind, tuning), x)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="overflows"):
+                    call()
+            assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestHvInf:

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from normtest import parallel, power
+from normtest import nulldist, parallel, power
 from normtest.competitors import parse_competitor
 from normtest.samplers import parse_spec, sample
 
@@ -52,6 +52,37 @@ class TestSubstreams:
         assert max(record.sizes) == 1_000 and sum(record.sizes) == 16_000
         two = parallel.map_replications(_first_normal, 16_000, seed=6, workers=2)
         np.testing.assert_array_equal(one, two)
+
+
+def _draws(rng):
+    # an odd count of 32-bit integers leaves half a 64-bit word buffered
+    return rng.standard_normal((3, 2)).tolist(), rng.integers(0, 2**31, size=3, dtype=np.int32).tolist()
+
+
+class TestBatchedStreams:
+    """``_streams`` repeats numpy's SeedSequence and PCG64 seeding; these
+    equalities with ``substream`` guard it against a numpy upgrade."""
+
+    SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 3, 12345678901234567890123, 2**130 + 5]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("lo,hi", [(0, 50), (2**32 - 20, 2**32), (2**32 - 3, 2**32 + 3)])
+    def test_equals_substream(self, seed, lo, hi):
+        streams = parallel._streams(seed, lo, hi)
+        assert len(streams) == hi - lo
+        got = [_draws(rng) for rng in streams]
+        assert got == [_draws(parallel.substream(seed, i)) for i in range(lo, hi)]
+
+    def test_rep_equals_on_a_list(self):
+        # n = 50 stacks 26 draws at a time: blocks of 26, 26 and 8
+        args = (parse_spec("mt:nu=5"), 50, 2, 1.0)
+        lazy = nulldist._rep(parallel._streams(41, 5, 65), *args)
+        listed = nulldist._rep([parallel.substream(41, i) for i in range(5, 65)], *args)
+        np.testing.assert_array_equal(lazy, listed)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            parallel._streams(-3, 0, 10)
 
 
 class TestSeedingContract:
@@ -149,6 +180,12 @@ class TestWorkerResolution:
         monkeypatch.delenv(parallel.ENV_WORKERS)
         assert parallel.resolve_workers(8) == 8
         assert parallel.resolve_workers(1) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "-4", "2.5"])
+    def test_bad_env_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv(parallel.ENV_WORKERS, value)
+        with pytest.raises(ValueError, match=parallel.ENV_WORKERS):
+            parallel.resolve_workers(1)
 
     def test_zero_means_auto(self, monkeypatch):
         monkeypatch.delenv(parallel.ENV_WORKERS, raising=False)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from normtest import AlternativeSpec, parse_spec, sample, sphere_uniform
+from normtest import AlternativeSpec, parse_spec, sample, samplers, sphere_uniform
 from conftest import make_rng
 
 
@@ -60,6 +60,11 @@ class TestParse:
             sample(spec, 10, 1, d=1)
         with pytest.raises(ValueError, match="d >= 2"):
             sample(AlternativeSpec("prod", base=spec), 10, 1, d=2)
+
+    def test_nmix_factor_is_cached_and_read_only(self):
+        factor = samplers._nmix_factor("Bd", 3)
+        assert samplers._nmix_factor("Bd", 3) is factor and not factor.flags.writeable
+        np.testing.assert_array_equal(factor, np.linalg.cholesky(samplers._b_matrix(3)))
 
     def test_base_must_be_univariate(self):
         with pytest.raises(ValueError):
