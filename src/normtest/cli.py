@@ -72,9 +72,15 @@ def _seed(value: str) -> int:
     return seed
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_seed, default=0)
+
+
+def _add_workers(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=0, help="0 = all cores; NORMTEST_THREADS overrides")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--output", default=None, help="also write the rendered output to this file")
 
@@ -288,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--checkpoint", default=None, help="directory for resumable null-simulation state")
+    _add_seed(p)
+    _add_workers(p)
     _add_common(p)
     p.set_defaults(func=cmd_test)
 
@@ -301,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=100_000, help="replicates for n=inf entries")
     p.add_argument("--resume", action="store_true", help="reuse cells from the json --output (needs --format json)")
     p.add_argument("--checkpoint", default=None, help="directory for resumable within-cell state")
+    _add_seed(p)
+    _add_workers(p)
     _add_common(p)
     p.set_defaults(func=cmd_crit_table)
 
@@ -313,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=10_000)
     p.add_argument("--crit-reps", type=int, default=None, help="null replications for critical values")
+    _add_seed(p)
+    _add_workers(p)
     _add_common(p)
     p.set_defaults(func=cmd_power)
 
@@ -338,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1000)
     p.add_argument("--ell", type=int, default=100_000)
     p.add_argument("--jitter", type=float, default=1e-10)
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_limit_quantile)
 

@@ -13,6 +13,7 @@ transformation statistic be (fixed tuning; no bootstrap selection).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -21,8 +22,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
-from .standardize import StandardizedSample, _whiten, _whitenable, as_data_matrix
-from .statistic import _mardia_skewness, _mrs_skewness, _pairwise_sum, check_tuning
+from .standardize import StandardizedSample, _whiten, _whitenable
+from .statistic import _mardia_skewness, _mrs_skewness, _pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def parse_competitor(text: str) -> CompetitorSpec:
 
 def bhep(sample: StandardizedSample, a: float) -> float:
     """ECF-based statistic with Gaussian smoothing parameter a > 0."""
-    return float(_bhep(sample.residuals, check_tuning(a)))
+    return float(_bhep(sample.residuals, _check_tuning("bhep", a)))
 
 
 def _bhep(y: np.ndarray, a: float) -> np.ndarray:
@@ -187,58 +188,84 @@ def _phi(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def bcmr(data, *, epsabs: float = 1e-9) -> float:
+def _univariate(kind: str, x: np.ndarray) -> None:
+    if x.shape[-1] != 1:
+        raise ValueError(f"{kind} is univariate")
+
+
+def bcmr(data) -> float:
     """Wasserstein-distance statistic for a raw univariate sample.
 
     Uses order statistics against the normal quantile function.  Its
     integral over each [(k-1)/n, k/n] is phi(ndtri((k-1)/n)) - phi(ndtri(k/n)),
     with phi(ndtri(0)) = phi(ndtri(1)) = 0; the tail integral is evaluated by
     adaptive quadrature over [1/(n+1), n/(n+1)], which keeps its endpoint
-    singularities away.
+    singularities away.  Both depend on n alone and are computed once per n.
+    A sample with d > 1, fewer than 2 observations or one value only raises a
+    ValueError.  Monte Carlo replications run the same code on whole stacks.
     """
-    x = as_data_matrix(data)
-    if x.shape[1] != 1:
-        raise ValueError("bcmr is univariate")
-    xs = np.sort(x[:, 0])
-    n = xs.size
-    if n < 2:
-        raise ValueError("bcmr requires n >= 2")
-    s2 = float(np.var(xs))  # divisor n, matching the residual scaling
-    if s2 == 0.0:
-        raise ValueError("bcmr requires a sample that is not constant")
+    return float(_bcmr(_whitenable(data)))
+
+
+@functools.lru_cache
+def _bcmr_weights(n: int) -> tuple[np.ndarray, float]:
+    """(order-statistic weights, read-only; tail integral) of :func:`bcmr` at sample size n."""
     q = ndtri(np.arange(n + 1) / n)
     dens = np.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
-    acc = float(xs @ (dens[:-1] - dens[1:]))
+    weights = dens[:-1] - dens[1:]
+    weights.flags.writeable = False
     tail, _ = quad(
         lambda t: t * (1.0 - t) / _phi(ndtri(t)) ** 2,
         1.0 / (n + 1),
         n / (n + 1),
-        epsabs=epsabs,
+        epsabs=1e-9,
         limit=200,
     )
-    return n * (1.0 - acc**2 / s2) - tail
+    return weights, tail
+
+
+def _bcmr(x: np.ndarray) -> np.ndarray:
+    """:func:`bcmr` of each slice of a (..., n, 1) stack of raw samples."""
+    _univariate("bcmr", x)
+    xs = np.sort(x[..., 0], axis=-1)
+    n = xs.shape[-1]
+    s2 = np.var(xs, axis=-1)  # divisor n, matching the residual scaling
+    if (s2 == 0.0).any():
+        raise ValueError("bcmr requires a sample that is not constant")
+    weights, tail = _bcmr_weights(n)
+    # A dot product and Python's float ** 2 (libm's pow) per slice: a stacked
+    # matrix-vector product and numpy's x * x each round differently.
+    acc_sq = [float(s @ weights) ** 2 for s in xs.reshape(-1, n)]
+    return n * (1.0 - np.reshape(acc_sq, s2.shape) / s2) - tail
 
 
 def be(sample: StandardizedSample, a: float) -> float:
     """Zero-bias transformation statistic on ordered scaled residuals, d=1.
 
     The pair sum over j < k factorizes through prefix sums, so the statistic
-    costs O(n log n) (the sort dominates).
+    costs O(n log n) (the sort dominates).  a must be finite and > 0, and a
+    sample with d > 1 raises a ValueError.  Monte Carlo replications run the
+    same code on whole stacks.
     """
-    a = check_tuning(a)
-    if sample.d != 1:
-        raise ValueError("be is univariate")
-    y = np.sort(sample.residuals[:, 0])
-    n = y.size
+    return float(_be(sample.residuals, _check_tuning("be", a)))
+
+
+def _be(y: np.ndarray, a: float) -> np.ndarray:
+    """:func:`be` of each slice of a (..., n, 1) residual stack."""
+    _univariate("be", y)
+    y = np.sort(y[..., 0], axis=-1)
+    n = y.shape[-1]
     ysq = y * y
     c = 1.0 - ndtr(y / math.sqrt(a))
     g = math.sqrt(a / (2.0 * math.pi)) * np.exp(-ysq / (2.0 * a))
     # prefix sums over j < k
-    s1 = np.concatenate(([0.0], np.cumsum(ysq - 1.0)))[:-1]
-    s2 = np.concatenate(([0.0], np.cumsum(y)))[:-1]
+    s1 = np.zeros_like(y)
+    s2 = np.zeros_like(y)
+    s1[..., 1:] = np.cumsum(ysq - 1.0, axis=-1)[..., :-1]
+    s2[..., 1:] = np.cumsum(y, axis=-1)[..., :-1]
     pair = c * ((ysq - 1.0) * s1 + a * y * s2) + g * (-y * s1 + s2)
     single = c * (ysq * ysq + (a - 2.0) * ysq + 1.0) + g * (2.0 * y - ysq * y)
-    return 2.0 / n * float(np.sum(pair)) + float(np.mean(single))
+    return 2.0 / n * np.sum(pair, axis=-1) + np.mean(single, axis=-1)
 
 
 class _Kind(NamedTuple):
@@ -249,25 +276,14 @@ class _Kind(NamedTuple):
     statistic: Callable[[np.ndarray, float | None], np.ndarray]
 
 
-def _per_slice(fn):
-    """Lift a statistic of one (n, d) matrix to a (..., n, d) stack, slice by slice."""
-
-    def stacked(x: np.ndarray, tuning: float | None) -> np.ndarray:
-        values = [fn(s, tuning) for s in x.reshape(-1, *x.shape[-2:])]
-        return np.array(values).reshape(x.shape[:-2])
-
-    return stacked
-
-
 # The one per-kind table: validation, defaults, seeds and dispatch all read it.
 _TABLE = {
     "bhep": _Kind(10, 1.0, ("a", 0.0), lambda x, a: _bhep(_whiten(x)[0], a)),
     "hjg": _Kind(11, 1.5, ("beta", 1.0), lambda x, beta: _hjg(_whiten(x)[0], beta)),
     "hv": _Kind(12, 5.0, ("gamma", 2.0), lambda x, gamma: _hv(_whiten(x)[0], gamma)),
     "hv_inf": _Kind(13, None, None, lambda x, _: _hv_inf(_whiten(x)[0])),
-    # univariate, so one slice at a time
-    "bcmr": _Kind(14, None, None, _per_slice(lambda x, _: bcmr(x))),
-    "be": _Kind(15, 1.0, ("a", 0.0), _per_slice(lambda x, a: be(StandardizedSample(*_whiten(x)), a))),
+    "bcmr": _Kind(14, None, None, lambda x, _: _bcmr(x)),
+    "be": _Kind(15, 1.0, ("a", 0.0), lambda x, a: _be(_whiten(x)[0], a)),
 }
 KINDS = tuple(_TABLE)
 
@@ -277,7 +293,7 @@ def evaluate(spec: CompetitorSpec, data) -> float:
 
     A value that overflowed raises a ValueError, as in :func:`hjg`.
     """
-    x = as_data_matrix(data) if spec.kind == "bcmr" else _whitenable(data)
+    x = _whitenable(data)
     with np.errstate(over="ignore"):
         value = float(_TABLE[spec.kind].statistic(x, spec.tuning))
     return value if math.isfinite(value) else _finite(spec.kind, spec.tuning, _whiten(x)[0], value)

@@ -21,7 +21,7 @@ import numpy as np
 from . import parallel, statistic
 from .competitors import _TABLE, CompetitorSpec
 from .samplers import AlternativeSpec, sample
-from .standardize import _whiten
+from .standardize import _whiten, check_sample_size
 from .statistic import StatisticValue, _scaled_t, check_alpha, check_tuning, scaling_factor
 
 
@@ -149,8 +149,7 @@ def mc_null_sample(
     from (seed, i), so values do not depend on the worker count.
     """
     a = check_tuning(a)
-    if n < d + 1:
-        raise ValueError(f"need n >= d+1, got n={n}, d={d}")
+    check_sample_size(n, d)
     meta = f"null d={d} n={n} a={a!r} R={replications} seed={seed}"
     vals = parallel.map_replications(
         _rep,

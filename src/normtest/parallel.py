@@ -50,16 +50,15 @@ def float_key(x: float) -> int:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count: NORMTEST_THREADS overrides, else the argument, else 1."""
+    """Worker count: NORMTEST_THREADS overrides the argument; 0 or None means all cores."""
     env = os.environ.get(ENV_WORKERS)
     if env:
         try:
-            count = int(env)
+            workers = int(env)
         except ValueError:
-            count = -1
-        if count < 0:
+            workers = -1
+        if workers < 0:
             raise ValueError(f"{ENV_WORKERS} must be a non-negative integer, got {env!r}")
-        return max(1, count)
     if workers is None or workers <= 0:
         return max(1, os.cpu_count() or 1)
     return workers

@@ -16,6 +16,7 @@ from .competitors import _TABLE, CompetitorSpec
 from .nulldist import _NULL, _rep, critical_value, mc_null_sample
 from .parallel import ALT, CRIT, derive_seed, float_key
 from .samplers import AlternativeSpec
+from .standardize import check_sample_size
 
 
 def _cell_seed(seed: int, purpose: int, d: int, n: int, column: float | CompetitorSpec) -> int:
@@ -33,6 +34,7 @@ def _replicates(
     purpose: int, alt: AlternativeSpec, d: int, n: int, column: float | CompetitorSpec,
     replications: int, seed: int, workers,
 ) -> np.ndarray:
+    check_sample_size(n, d)
     return parallel.map_replications(
         _rep, replications, _cell_seed(seed, purpose, d, n, column), args=(alt, n, d, column),
         workers=workers,

@@ -132,12 +132,17 @@ class StandardizedSample:
         return cls(residuals=y, mean=np.zeros(d), covariance=np.eye(d), inv_sqrt=np.eye(d))
 
 
-def _whitenable(data) -> np.ndarray:
-    """:func:`as_data_matrix` plus the n >= d+1 rule of every whitened statistic."""
-    x = as_data_matrix(data)
-    n, d = x.shape
+def check_sample_size(n: int, d: int) -> None:
+    """The n >= d+1 rule of every statistic, which makes the sample covariance
+    invertible almost surely for absolutely continuous data."""
     if n < d + 1:
-        raise ValueError(f"need at least d+1={d + 1} observations, got {n}")
+        raise ValueError(f"need at least d+1={d + 1} observations, got n={n}")
+
+
+def _whitenable(data) -> np.ndarray:
+    """:func:`as_data_matrix` plus :func:`check_sample_size`."""
+    x = as_data_matrix(data)
+    check_sample_size(*x.shape)
     return x
 
 

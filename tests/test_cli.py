@@ -226,6 +226,34 @@ class TestPowerCommand:
         err = capsys.readouterr().err
         assert code == 1 and "error:" in err and "critical value" not in err
 
+    @pytest.mark.parametrize("d,n,comp", [(2, 2, "bhep"), (1, 1, "bcmr")])
+    def test_too_few_observations_refused_before_any_simulation(self, capsys, d, n, comp):
+        code = main(["power", "--alt", "std", "--d", str(d), "--n", str(n), "--competitor", comp,
+                     "--reps", "50", "--crit-reps", "200", "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == 1 and f"need at least d+1={d + 1} observations, got n={n}" in err
+        assert "critical value" not in err
+
+    @pytest.mark.parametrize("comp", ["be", "bcmr"])
+    def test_univariate_competitor_refused_at_d2(self, capsys, comp):
+        code = main(["power", "--alt", "std", "--d", "2", "--n", "20", "--competitor", comp,
+                     "--reps", "50", "--crit-reps", "200", "--workers", "1"])
+        assert code == 1 and f"{comp} is univariate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [("delta-ci", "--seed"), ("delta-ci", "--workers"),
+                                          ("validate", "--seed"), ("validate", "--workers"),
+                                          ("limit-quantile", "--workers")])
+def test_unread_flag_refused(tmp_path, capsys, command, flag):
+    # a flag the command would ignore is an argparse error (exit code 2)
+    data = _write_normal_csv(tmp_path / "x.csv", n=30, d=1)
+    argv = {"delta-ci": ["--input", data, "--a", "0.5"],
+            "validate": ["--input", data, "--a", "0.5", "--delta0", "0.1"],
+            "limit-quantile": ["--d", "1", "--a", "1.0", "--m", "20", "--ell", "100"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, flag, "1"])
+    assert exc.value.code == 2 and f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
 
 class TestDeltaCi:
     def test_json_round_trip(self, tmp_path, capsys):

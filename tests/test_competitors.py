@@ -40,6 +40,11 @@ class TestBhep:
         for seed in range(5):
             assert bhep(_sample(seed), 0.5) >= 0.0
 
+    def test_requires_a_above_zero(self):
+        for a in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"bhep requires a finite a > 0"):
+                bhep(TWO_POINT, a)
+
     def test_affine_invariance(self):
         rng = make_rng(7)
         x = rng.normal(size=(30, 3))
@@ -265,6 +270,11 @@ class TestBe:
     def test_univariate_only(self):
         with pytest.raises(ValueError):
             be(_sample(1, n=10, d=2), 1.0)
+
+    def test_requires_a_above_zero(self):
+        for a in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"be requires a finite a > 0"):
+                be(TWO_POINT, a)
 
 
 class TestSpecParsing:

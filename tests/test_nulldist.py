@@ -178,6 +178,25 @@ class TestBlockEngine:
             rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 2, 50, column), i) for i in range(30)]
             assert nulldist._rep(rngs, alt, 50, 2, column)[[3, 17, 25, 26]].tolist() == want, key
 
+    def test_frozen_univariate_values(self):
+        # Values of bcmr and be when they ran one sample at a time.  At n=20 a
+        # stack holds 163 samples, so replicates 162 | 163 straddle its edge; a
+        # stacked matrix-vector product in place of bcmr's per-sample dot moves
+        # bits here, and numpy's square in place of Python's ** 2 at replicate 696.
+        frozen = {
+            "bcmr": [-0.27465598732915875, -0.9953412251098925, 2.3063631481978755, 0.5868559657783734],
+            "be:1": [1.206451253867078, 0.11807667766852115, 0.9066851158326514, 2.011575092683028],
+            "be:0.3": [0.06954465680476107, 0.37610680307556793, 0.04761100646114014, 0.28896876919702824],
+        }
+        alt = parse_spec("t:nu=3")
+        for key, want in frozen.items():
+            column = parse_competitor(key)
+            rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 1, 20, column), i) for i in range(200)]
+            assert nulldist._rep(rngs, alt, 20, 1, column)[[3, 17, 162, 163]].tolist() == want, key
+        column = parse_competitor("bcmr")
+        rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 1, 20, column), i) for i in range(697)]
+        assert nulldist._rep(rngs, alt, 20, 1, column)[696] == -0.8893435535587935
+
     def test_worker_count_invariance(self):
         # chunks of 137 replications on one worker and of 68 on two: chunk
         # edges cut the blocks of 26 in different places

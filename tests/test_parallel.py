@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import numpy as np
@@ -191,3 +192,11 @@ class TestWorkerResolution:
         monkeypatch.delenv(parallel.ENV_WORKERS, raising=False)
         assert parallel.resolve_workers(0) >= 1
         assert parallel.resolve_workers(None) >= 1
+
+    def test_env_zero_means_all_cores_as_the_argument_does(self, monkeypatch):
+        cores = max(1, os.cpu_count() or 1)
+        monkeypatch.delenv(parallel.ENV_WORKERS, raising=False)
+        assert parallel.resolve_workers(0) == cores
+        monkeypatch.setenv(parallel.ENV_WORKERS, "0")
+        assert parallel.resolve_workers(1) == cores
+        assert parallel.resolve_workers(None) == cores
