@@ -30,7 +30,7 @@ from .nulldist import (
 )
 from .parallel import LIMIT, derive_seed, float_key
 from .samplers import parse_spec
-from .standardize import load_csv, scaled_residuals
+from .standardize import check_sample_size, load_csv, scaled_residuals
 from .statistic import check_alpha, t_statistic
 
 
@@ -62,22 +62,22 @@ def _render_rows(fmt: str, header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _seed(value: str) -> int:
+def _count(value: str) -> int:
     try:
-        seed = int(value)
+        count = int(value)
     except ValueError:
-        seed = -1
-    if seed < 0:
+        count = -1
+    if count < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
-    return seed
+    return count
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_count, default=0)
 
 
 def _add_workers(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=0, help="0 = all cores; NORMTEST_THREADS overrides")
+    p.add_argument("--workers", type=_count, default=0, help="0 = all cores; NORMTEST_THREADS overrides")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -153,6 +153,9 @@ def cmd_crit_table(args) -> int:
             f"--resume needs --format json: a {args.format} rendering in --output cannot be "
             "read back, so every rerun would start over"
         )
+    for d in args.d:
+        for n in args.n:
+            check_sample_size(n, d)
     table = CriticalValueTable(replications=args.reps, seed=args.seed)
     done = set()
     if args.resume:
@@ -272,7 +275,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_limit_quantile(args) -> int:
-    cfg = LimitSamplerConfig(m=args.m, ell=args.ell, seed=args.seed, jitter=args.jitter)
+    for d in args.d:
+        check_sample_size(math.inf, d)
+    cfg = LimitSamplerConfig(m=args.m, ell=args.ell, seed=args.seed)
     rows = []
     for d in args.d:
         for a in args.a:
@@ -349,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--m", type=int, default=1000)
     p.add_argument("--ell", type=int, default=100_000)
-    p.add_argument("--jitter", type=float, default=1e-10)
     _add_seed(p)
     _add_common(p)
     p.set_defaults(func=cmd_limit_quantile)

@@ -62,8 +62,6 @@ def parse_competitor(text: str) -> CompetitorSpec:
     head, sep, rest = text.strip().lower().partition(":")
     head = {"hvinf": "hv_inf"}.get(head, head)
     tuning = float(rest) if sep and rest else None
-    if head in _TABLE and _TABLE[head].bound is None:
-        tuning = None
     return CompetitorSpec(kind=head, tuning=tuning)
 
 

@@ -318,7 +318,7 @@ def validation_test(est: DeltaEstimate, delta0: float, alpha: float) -> Validati
     )
 
 
-def delta_a_univariate(cf_second_derivative, a: float, limit: int = 400) -> float:
+def delta_a_univariate(cf_second_derivative, a: float) -> float:
     """Population distance for d=1 from the CF second derivative.
 
     Integrates (phi''(t) - (t^2 - 1) e^{-t^2/2})^2 e^{-a t^2} over the line
@@ -331,7 +331,7 @@ def delta_a_univariate(cf_second_derivative, a: float, limit: int = 400) -> floa
             -a * t * t
         )
 
-    val, err = quad(integrand, -np.inf, np.inf, limit=limit)
+    val, err = quad(integrand, -np.inf, np.inf, limit=400)
     if not np.isfinite(val):
         raise ValueError("quadrature failed; is the CF second derivative integrable?")
     return float(val)

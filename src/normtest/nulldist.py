@@ -92,6 +92,7 @@ def expected_limit(d: int, a: float) -> float:
     """
     a = check_tuning(a)
     d = int(d)
+    check_sample_size(math.inf, d)
 
     def c(j: int) -> float:
         return np.pi ** (d / 2.0) * d / (a + 1.0) ** (d / 2.0 + j)
@@ -184,19 +185,23 @@ def pvalue_mc(
     seed: int,
     *,
     workers: int | None = 1,
-    progress: bool = False,
 ) -> float:
     """Monte Carlo p-value (1 + #{replicates >= observed}) / (R + 1).
 
     ``observed`` is compared on the scaled statistic.
     """
     obs = observed.scaled if isinstance(observed, StatisticValue) else float(observed)
-    return _pvalue(mc_null_sample(d, n, a, replications, seed, workers=workers, progress=progress), obs)
+    return _pvalue(mc_null_sample(d, n, a, replications, seed, workers=workers), obs)
 
 
 def _pvalue(null: np.ndarray, observed: float) -> float:
     """(1 + #{null >= observed}) / (R + 1) for a null sample of R replicates."""
     return (1.0 + int(np.sum(null >= observed))) / (null.size + 1.0)
+
+
+# Jitter added to the diagonal of the limit sampler's kernel matrix, as a
+# multiple of its mean diagonal entry; every published limit quantile used it.
+_JITTER = 1e-10
 
 
 @dataclass(frozen=True)
@@ -206,15 +211,12 @@ class LimitSamplerConfig:
     m: int = 1000
     ell: int = 100_000
     seed: int = 0
-    jitter: float = 1e-10
 
     def __post_init__(self):
         if self.m < 2:
             raise ValueError("need at least m=2 support points")
         if self.ell < 1:
             raise ValueError("need at least one replicate")
-        if not 0.0 <= self.jitter < math.inf:
-            raise ValueError(f"jitter must be a nonnegative finite real, got {self.jitter}")
 
 
 def limit_quantile(
@@ -245,6 +247,7 @@ def limit_quantile(
     """
     a = check_tuning(a)
     check_alpha(alpha)
+    check_sample_size(math.inf, d)
     rng = parallel.substream(config.seed)
     if support_points is None:
         u = rng.normal(scale=np.sqrt(0.5 / a), size=(config.m, d))
@@ -252,8 +255,7 @@ def limit_quantile(
         u = np.asarray(support_points, dtype=float).reshape(config.m, d)
     sk = _kernel_matrix(u, d)
     sk = 0.5 * (sk + sk.T)
-    if config.jitter > 0.0:
-        sk[np.diag_indices_from(sk)] += config.jitter * np.trace(sk) / config.m
+    sk[np.diag_indices_from(sk)] += _JITTER * np.trace(sk) / config.m
     w = np.linalg.eigvalsh(sk)
     scale = max(float(w[-1]), 1.0)
     if w[0] < -1e-8 * scale:

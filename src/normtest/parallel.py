@@ -8,12 +8,18 @@ The unit of work is a chunk of consecutive replications: one call of the
 replication function gets the chunk's substreams as a lazy sequence in index
 order, and returns one value per substream.  The sequence hands out one
 reused generator, reseeded per replication, so the function must consume
-item k before it takes item k+1 and keep no reference to it.  Results are
-gathered in replication order.
+item k before it takes item k+1 and keep no reference to it.  Its seeds are
+hashed from numpy's own ``SeedSequence(seed).pool`` for the whole chunk at
+once.  One gather loop serves every worker count: it maps the chunks with the
+builtin ``map`` on one worker and with ``ProcessPoolExecutor.map`` on a pool,
+both of which yield in replication order, so results, progress and
+checkpoints always cover a prefix.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import operator
 import os
 import sys
@@ -50,7 +56,10 @@ def float_key(x: float) -> int:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count: NORMTEST_THREADS overrides the argument; 0 or None means all cores."""
+    """Worker count: NORMTEST_THREADS overrides the argument; 0 or None means all cores.
+
+    A negative count, from either source, is refused.
+    """
     env = os.environ.get(ENV_WORKERS)
     if env:
         try:
@@ -59,13 +68,14 @@ def resolve_workers(workers: int | None) -> int:
             workers = -1
         if workers < 0:
             raise ValueError(f"{ENV_WORKERS} must be a non-negative integer, got {env!r}")
-    if workers is None or workers <= 0:
-        return max(1, os.cpu_count() or 1)
-    return workers
+    if workers is not None and workers < 0:
+        raise ValueError(f"workers must be a non-negative integer, got {workers}")
+    return workers or max(1, os.cpu_count() or 1)
 
 
 # numpy's SeedSequence hash constants (pool of four 32-bit words) and the
-# PCG64 multiplier: _streams repeats numpy's seeding arithmetic with them.
+# PCG64 multiplier: _streams finishes numpy's seeding arithmetic with them,
+# starting from the pool numpy itself mixed from the seed's words.
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -90,12 +100,13 @@ class _streams:
     """``substream(seed, i)`` for i in lo..hi-1, in order, as one reused Generator.
 
     ``SeedSequence(seed, spawn_key=(i,))`` differs between replications only
-    in its last entropy word, i, so the pool is mixed from the seed's words
-    once and i is mixed in as an array over the chunk, followed by
-    ``generate_state(4, uint64)``.  Each hash then gives the PCG64 state
-    ``default_rng`` would seed, which the one Generator takes in turn.  An
-    index of 2**32 or more is two key words, and comes from :func:`substream`.
-    Consume item k before taking item k+1, and keep no reference to it.
+    in its last entropy word, i, so the pool is numpy's own
+    ``SeedSequence(seed).pool``, and i is mixed into it as an array over the
+    chunk, followed by ``generate_state(4, uint64)``.  Each hash then gives
+    the PCG64 state ``default_rng`` would seed, which the one Generator takes
+    in turn.  An index of 2**32 or more is two key words, and comes from
+    :func:`substream`.  Consume item k before taking item k+1, and keep no
+    reference to it.
     """
 
     def __init__(self, seed: int, lo: int, hi: int):
@@ -109,22 +120,15 @@ class _streams:
 
     def __iter__(self):
         split = max(self.lo, min(self.hi, 2**32))
-        # the seed's 32-bit words, low first, padded with zeros to the pool size
+        # numpy's pool for the seed alone; mixing its words, padded to at least
+        # _POOL, took _POOL hashes per word, each advancing the hash constant
         nwords = max(_POOL, (self.seed.bit_length() + 31) // 32)
-        words = [self.seed >> 32 * k & _MASK32 for k in range(nwords)]
-        pool, const = [], _INIT_A
-        for w in words[:_POOL]:
-            h, const = _hashmix(w, const, _MULT_A)
-            pool.append(h)
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    h, const = _hashmix(pool[src], const, _MULT_A)
-                    pool[dst] = _mix(pool[dst], h)
-        for w in [*words[_POOL:], np.arange(self.lo, split, dtype=np.uint64)]:
-            for dst in range(_POOL):
-                h, const = _hashmix(w, const, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
+        pool = [int(w) for w in np.random.SeedSequence(self.seed).pool]
+        const = _INIT_A * pow(_MULT_A, _POOL * nwords, 2**32) & _MASK32
+        index = np.arange(self.lo, split, dtype=np.uint64)
+        for dst in range(_POOL):
+            h, const = _hashmix(index, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
         state, const = [], _INIT_B
         for k in range(2 * _POOL):
             h, const = _hashmix(pool[k % _POOL], const, _MULT_B)
@@ -219,27 +223,20 @@ def map_replications(
     # generator and its replications' hashed seeds (under 0.3 kB each); the cap
     # keeps progress and a single worker's units of work fine-grained.
     chunk = min(CHECKPOINT_EVERY, 1_000, max(64, (replications - start) // (8 * nworkers) or 64))
-    ranges = [(lo, min(lo + chunk, replications)) for lo in range(start, replications, chunk)]
-
-    def note_progress(lo: int, hi: int) -> None:
-        if progress:
-            print(f"\r{hi}/{replications} replications", end="", file=sys.stderr, flush=True)
-        if checkpoint is not None and (
-            hi // CHECKPOINT_EVERY > lo // CHECKPOINT_EVERY or hi == replications
-        ):
-            _save_checkpoint(checkpoint, checkpoint_meta, out[:hi])
-
-    if nworkers == 1:
-        for lo, hi in ranges:
-            out[lo:hi] = _run_range(fn, seed, lo, hi, args)
-            note_progress(lo, hi)
-    else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            futures = [(lo, hi, pool.submit(_run_range, fn, seed, lo, hi, args)) for lo, hi in ranges]
-            # Gather in replication order: checkpoints always cover a prefix.
-            for lo, hi, fut in futures:
-                out[lo:hi] = fut.result()
-                note_progress(lo, hi)
+    los = range(start, replications, chunk)
+    his = [min(lo + chunk, replications) for lo in los]
+    run = functools.partial(_run_range, fn, seed, args=args)
+    with ProcessPoolExecutor(max_workers=nworkers) if nworkers > 1 else contextlib.nullcontext() as pool:
+        # Both maps yield in replication order: checkpoints always cover a prefix.
+        results = map(run, los, his) if pool is None else pool.map(run, los, his)
+        for lo, hi, values in zip(los, his, results):
+            out[lo:hi] = values
+            if progress:
+                print(f"\r{hi}/{replications} replications", end="", file=sys.stderr, flush=True)
+            if checkpoint is not None and (
+                hi // CHECKPOINT_EVERY > lo // CHECKPOINT_EVERY or hi == replications
+            ):
+                _save_checkpoint(checkpoint, checkpoint_meta, out[:hi])
     if progress:
         print(file=sys.stderr)
     return out

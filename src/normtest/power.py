@@ -91,8 +91,15 @@ def power_matrix(
     Columns are the main statistic at each ``a`` followed by the competitors.
     ``crit_replications`` (default: same as ``replications``) controls the
     null simulations for the critical values, which are shared across rows.
+    A study with no column, too few observations or no critical-value
+    replication is refused before any simulation.
     """
-    crit_reps = crit_replications or replications
+    if not a_list and not competitors:
+        raise ValueError("a power study needs at least one column: an a or a competitor")
+    check_sample_size(n, d)
+    crit_reps = replications if crit_replications is None else crit_replications
+    if crit_reps < 1:
+        raise ValueError(f"critical-value replications must be >= 1, got {crit_reps}")
     columns = [f"t:{a:g}" for a in a_list] + [c.label() for c in competitors]
     t_crit = {}
     for a in a_list:

@@ -19,22 +19,25 @@ class UnsupportedDimension(ValueError):
     """Quadrature oracle requested above its supported dimension."""
 
 
+# Gaussian weight below which the default box is truncated.
+_TAIL_TOL = 1e-18
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Legendre tensor grid on the box [-halfwidth, halfwidth]^d.
 
     ``halfwidth=None`` truncates where the Gaussian weight drops below
-    ``tail_tol`` (plus slack for polynomial factors in the integrands).
+    :data:`_TAIL_TOL` (plus slack for polynomial factors in the integrands).
     """
 
     points: int = 800
     halfwidth: float | None = None
-    tail_tol: float = 1e-18
 
     def box_halfwidth(self, a: float) -> float:
         if self.halfwidth is not None:
             return float(self.halfwidth)
-        return float(np.sqrt(-np.log(self.tail_tol) / a) * 1.06)
+        return float(np.sqrt(-np.log(_TAIL_TOL) / a) * 1.06)
 
     def axis(self, a: float) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights on one axis, weight function not included."""

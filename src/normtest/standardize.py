@@ -47,22 +47,27 @@ def load_csv(path, *, delimiter: str = ",", header: bool = False) -> np.ndarray:
     return as_data_matrix(x)
 
 
-def spd_inverse_sqrt(s, rel_tol: float = 1e-12) -> np.ndarray:
+# Scale-free singularity threshold: a covariance whose smallest eigenvalue is
+# at most this times its largest is refused.
+_REL_TOL = 1e-12
+
+
+def spd_inverse_sqrt(s) -> np.ndarray:
     """Symmetric positive definite inverse square root via eigendecomposition.
 
     For S = Q diag(w) Q^T returns Q diag(w^{-1/2}) Q^T.  Raises
     :class:`SingularCovariance` when the smallest eigenvalue does not exceed
-    ``rel_tol`` times the largest (scale-free singularity threshold).
+    :data:`_REL_TOL` times the largest.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.allclose(s, s.T, rtol=0.0, atol=1e-10 * max(1.0, float(np.abs(s).max()))):
         raise ValueError("matrix is not symmetric")
-    return _inverse_sqrt(s, rel_tol)
+    return _inverse_sqrt(s)
 
 
-def _inverse_sqrt(s: np.ndarray, rel_tol: float) -> np.ndarray:
+def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
     """Q diag(w^{-1/2}) Q^T of each (d, d) slice of ``s``, symmetrised.
 
     Raises :class:`SingularCovariance` for the first singular slice, with the
@@ -70,7 +75,7 @@ def _inverse_sqrt(s: np.ndarray, rel_tol: float) -> np.ndarray:
     """
     w, q = np.linalg.eigh(s)
     lo, hi = w[..., 0], w[..., -1]
-    singular = (hi <= 0.0) | (lo <= rel_tol * hi)
+    singular = (hi <= 0.0) | (lo <= _REL_TOL * hi)
     if singular.any():
         k = np.flatnonzero(singular)[0]
         raise SingularCovariance(
@@ -80,7 +85,7 @@ def _inverse_sqrt(s: np.ndarray, rel_tol: float) -> np.ndarray:
     return 0.5 * (root + root.swapaxes(-1, -2))
 
 
-def _whiten(x: np.ndarray, rel_tol: float = 1e-12):
+def _whiten(x: np.ndarray):
     """(residuals, mean, covariance, inv_sqrt) of a float (..., n, d) stack of samples.
 
     The one whitening rule of the package: the validated public path runs it
@@ -92,7 +97,7 @@ def _whiten(x: np.ndarray, rel_tol: float = 1e-12):
     xc = x - mean[..., None, :]
     cov = xc.swapaxes(-1, -2) @ xc / x.shape[-2]
     cov = 0.5 * (cov + cov.swapaxes(-1, -2))
-    inv_sqrt = _inverse_sqrt(cov, rel_tol)
+    inv_sqrt = _inverse_sqrt(cov)
     return xc @ inv_sqrt, mean, cov, inv_sqrt
 
 
@@ -132,9 +137,14 @@ class StandardizedSample:
         return cls(residuals=y, mean=np.zeros(d), covariance=np.eye(d), inv_sqrt=np.eye(d))
 
 
-def check_sample_size(n: int, d: int) -> None:
-    """The n >= d+1 rule of every statistic, which makes the sample covariance
-    invertible almost surely for absolutely continuous data."""
+def check_sample_size(n: float, d: int) -> None:
+    """The d >= 1 and n >= d+1 rules of every statistic; n >= d+1 makes the
+    sample covariance invertible almost surely for absolutely continuous data.
+
+    ``n = math.inf`` checks the dimension alone, for the limiting distribution.
+    """
+    if d < 1:
+        raise ValueError(f"need dimension d >= 1, got d={d}")
     if n < d + 1:
         raise ValueError(f"need at least d+1={d + 1} observations, got n={n}")
 
@@ -146,10 +156,10 @@ def _whitenable(data) -> np.ndarray:
     return x
 
 
-def scaled_residuals(data, rel_tol: float = 1e-12) -> StandardizedSample:
+def scaled_residuals(data) -> StandardizedSample:
     """Standardize a sample empirically.
 
     Requires n >= d+1, which makes the covariance invertible almost surely
     for absolutely continuous data.
     """
-    return StandardizedSample(*_whiten(_whitenable(data), rel_tol))
+    return StandardizedSample(*_whiten(_whitenable(data)))

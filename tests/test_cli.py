@@ -1,15 +1,18 @@
+import argparse
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from normtest.cli import main
+from normtest.cli import build_parser, main
 from normtest.nulldist import LimitSamplerConfig, limit_quantile
 from normtest.parallel import LIMIT, derive_seed, float_key
 from conftest import make_rng
 
 IRIS = pathlib.Path(__file__).parent / "data" / "iris.csv"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _write_normal_csv(path, n=60, d=2, seed=1):
@@ -80,6 +83,13 @@ class TestTestCommand:
             main([*command, *data, "--seed", "-3"])
         err = capsys.readouterr().err
         assert exit_.value.code == 2 and "--seed" in err and "simulating" not in err
+
+    def test_negative_workers_refused_before_simulating(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["test", "--input", str(IRIS), "--header", "--a", "1", "--reps", "50", "--workers", "-3"])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2 and "--workers: must be a non-negative integer" in err
+        assert "simulating" not in err
 
 
 class TestCritTable:
@@ -234,6 +244,21 @@ class TestPowerCommand:
         assert code == 1 and f"need at least d+1={d + 1} observations, got n={n}" in err
         assert "critical value" not in err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--a", "1.0", "--crit-reps", "0"], "critical-value replications must be >= 1, got 0"),
+            (["--competitor", "bcmr:5"], "bcmr takes no tuning, got 5.0"),
+            (["--competitor", "hvinf:2"], "hv_inf takes no tuning, got 2.0"),
+            ([], "a power study needs at least one column: an a or a competitor"),
+        ],
+        ids=["crit-reps-0", "bcmr-tuned", "hvinf-tuned", "no-column"],
+    )
+    def test_ignored_input_refused_before_any_simulation(self, capsys, flags, message):
+        # the one line on stderr is the error: no critical value was simulated
+        code = main(["power", "--alt", "std", "--d", "1", "--n", "20", "--reps", "50", "--workers", "1", *flags])
+        assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("comp", ["be", "bcmr"])
     def test_univariate_competitor_refused_at_d2(self, capsys, comp):
         code = main(["power", "--alt", "std", "--d", "2", "--n", "20", "--competitor", comp,
@@ -243,7 +268,7 @@ class TestPowerCommand:
 
 @pytest.mark.parametrize("command,flag", [("delta-ci", "--seed"), ("delta-ci", "--workers"),
                                           ("validate", "--seed"), ("validate", "--workers"),
-                                          ("limit-quantile", "--workers")])
+                                          ("limit-quantile", "--workers"), ("limit-quantile", "--jitter")])
 def test_unread_flag_refused(tmp_path, capsys, command, flag):
     # a flag the command would ignore is an argparse error (exit code 2)
     data = _write_normal_csv(tmp_path / "x.csv", n=30, d=1)
@@ -319,8 +344,38 @@ class TestLimitQuantileCommand:
         assert header.startswith("d,a,alpha,m,ell,seed,quantile")
         assert float(row.split(",")[-1]) > 0.5
 
-    @pytest.mark.parametrize("jitter", ["nan", "inf", "-1e-3"])
-    def test_bad_jitter_refused(self, capsys, jitter):
-        argv = ["limit-quantile", "--d", "1", "--a", "1.0", "--m", "20", "--ell", "100", f"--jitter={jitter}"]
-        assert main(argv) == 1
-        assert "jitter must be a nonnegative finite real" in capsys.readouterr().err
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit-quantile", "--d", "0", "--a", "1.0", "--m", "20", "--ell", "100"],
+        ["limit-quantile", "--d", "1", "--d", "0", "--a", "1.0", "--m", "20", "--ell", "100"],
+        ["crit-table", "--d", "0", "--n", "inf", "--a", "1.0", "--m", "20", "--ell", "100"],
+        ["crit-table", "--d", "1", "--d", "0", "--n", "10", "--a", "1.0", "--reps", "50", "--workers", "1"],
+        ["power", "--alt", "std", "--d", "0", "--n", "10", "--a", "1.0", "--reps", "50", "--workers", "1"],
+    ],
+    ids=["limit-quantile", "limit-quantile-second-d", "crit-table-inf", "crit-table-second-d", "power"],
+)
+def test_zero_dimension_refused_before_any_simulation(capsys, argv):
+    # one message, before the progress line of any cell
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: need dimension d >= 1, got d=0\n"
+
+
+def _cli_flags() -> set[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        flag
+        for parser in sub.choices.values()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+
+
+def test_readme_names_every_cli_flag_and_no_other():
+    readme = set(re.findall(r"--[a-z][a-z0-9-]*", README.read_text())) - {"--no-build-isolation"}
+    cli = _cli_flags()
+    assert len(cli) > 10
+    assert sorted(cli - readme) == [], "flags the README never mentions"
+    assert sorted(readme - cli) == [], "README flags the CLI lacks"

@@ -311,7 +311,8 @@ class TestSpecParsing:
         # it would change the label and the seed key but not the statistic
         with pytest.raises(ValueError, match="takes no tuning"):
             CompetitorSpec(kind, 2.0)
-        assert parse_competitor(f"{kind}:2") == CompetitorSpec(kind)
+        with pytest.raises(ValueError, match="takes no tuning"):
+            parse_competitor(f"{kind}:2")
 
     @pytest.mark.parametrize("kind,default", [("bhep", 1.0), ("hjg", 1.5), ("hv", 5.0), ("be", 1.0)])
     def test_spec_without_tuning_uses_the_default(self, kind, default):

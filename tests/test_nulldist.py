@@ -296,7 +296,7 @@ def _gemm_oracle(d, a, alpha, cfg):
     u = rng.normal(scale=np.sqrt(0.5 / a), size=(cfg.m, d))
     sk = _kernel_matrix(u, d)
     sk = 0.5 * (sk + sk.T)
-    sk[np.diag_indices_from(sk)] += cfg.jitter * np.trace(sk) / cfg.m
+    sk[np.diag_indices_from(sk)] += nulldist._JITTER * np.trace(sk) / cfg.m
     w, q = np.linalg.eigh(sk)
     factor = q * np.sqrt(np.clip(w, 0.0, None))
     x = rng.standard_normal((cfg.ell, cfg.m)) @ factor.T
@@ -305,18 +305,18 @@ def _gemm_oracle(d, a, alpha, cfg):
 
 class TestLimitQuantile:
     @pytest.mark.parametrize(
-        "d,a,m,ell,seed,jitter",
+        "d,a,m,ell,seed",
         [
-            (1, 1.0, 1000, 5000, 32, 1e-10),  # 4 full chunks of 1048 rows and a partial one
-            (2, 3.0, 400, 6000, 31, 1e-10),  # chunks of 2621 rows
-            (1, 1.0, 80, 4000, 5, 1e-10),
-            (2, 1.0, 60, 4000, 42, 1e-10),
-            (3, 0.5, 300, 20_000, 7, 1e-10),  # chunks of 3495 rows
-            (1, 1.0, 2, 500, 1, 0.0),
+            (1, 1.0, 1000, 5000, 32),  # 4 full chunks of 1048 rows and a partial one
+            (2, 3.0, 400, 6000, 31),  # chunks of 2621 rows
+            (1, 1.0, 80, 4000, 5),
+            (2, 1.0, 60, 4000, 42),
+            (3, 0.5, 300, 20_000, 7),  # chunks of 3495 rows
+            (1, 1.0, 2, 500, 1),
         ],
     )
-    def test_matches_gemm_oracle(self, d, a, m, ell, seed, jitter):
-        cfg = LimitSamplerConfig(m=m, ell=ell, seed=seed, jitter=jitter)
+    def test_matches_gemm_oracle(self, d, a, m, ell, seed):
+        cfg = LimitSamplerConfig(m=m, ell=ell, seed=seed)
         for alpha in (0.05, 0.5):
             q = limit_quantile(d, a, alpha, cfg)
             assert q == pytest.approx(_gemm_oracle(d, a, alpha, cfg), rel=1e-12, abs=0.0)
@@ -340,7 +340,7 @@ class TestLimitQuantile:
             limit_quantile(1, 1.0, 0.05, LimitSamplerConfig(m=4, ell=100, seed=0))
 
     def test_degenerate_support_points(self):
-        cfg = LimitSamplerConfig(m=2, ell=500, seed=1, jitter=0.0)
+        cfg = LimitSamplerConfig(m=2, ell=500, seed=1)
         q = limit_quantile(1, 1.0, 0.05, cfg, support_points=np.zeros((2, 1)))
         assert q == 0.0
 
@@ -355,9 +355,12 @@ class TestLimitQuantile:
             LimitSamplerConfig(m=1)
         with pytest.raises(ValueError):
             LimitSamplerConfig(ell=0)
-        for jitter in (-1e-3, np.nan, np.inf):
-            with pytest.raises(ValueError, match="jitter must be a nonnegative finite real"):
-                LimitSamplerConfig(jitter=jitter)
+
+    def test_zero_dimension_refused(self):
+        with pytest.raises(ValueError, match="need dimension d >= 1, got d=0"):
+            limit_quantile(0, 1.0, 0.05, LimitSamplerConfig(m=20, ell=100))
+        with pytest.raises(ValueError, match="need dimension d >= 1, got d=0"):
+            expected_limit(0, 1.0)
 
     def test_rough_location_small_run(self):
         # coarse run should already land in the right neighborhood of 1.765
@@ -375,8 +378,8 @@ class TestLimitQuantile:
         assert w[0] > -1e-10 * w[-1]
         # clipping-based repair leaves no negative spectrum
         assert np.all(np.clip(w, 0.0, None) >= 0.0)
-        # zero jitter must also work (clipping alone repairs roundoff)
-        cfg = LimitSamplerConfig(m=50, ell=500, seed=3, jitter=0.0)
+        # the limit sampler runs on such a kernel
+        cfg = LimitSamplerConfig(m=50, ell=500, seed=3)
         assert limit_quantile(2, 1.0, 0.05, cfg) > 0.0
 
 

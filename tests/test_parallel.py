@@ -188,6 +188,11 @@ class TestWorkerResolution:
         with pytest.raises(ValueError, match=parallel.ENV_WORKERS):
             parallel.resolve_workers(1)
 
+    def test_negative_argument_refused(self, monkeypatch):
+        monkeypatch.delenv(parallel.ENV_WORKERS, raising=False)
+        with pytest.raises(ValueError, match="workers must be a non-negative integer, got -3"):
+            parallel.resolve_workers(-3)
+
     def test_zero_means_auto(self, monkeypatch):
         monkeypatch.delenv(parallel.ENV_WORKERS, raising=False)
         assert parallel.resolve_workers(0) >= 1
