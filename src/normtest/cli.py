@@ -11,18 +11,19 @@ Progress goes to stderr.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
-import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import power as power_mod
 from .competitors import parse_competitor
-from .inference import confidence_interval, delta_estimate, validation_test
+from .inference import check_delta0, confidence_interval, delta_estimate, validation_test
 from .nulldist import (
     CriticalValueTable,
     LimitSamplerConfig,
+    _check_cell,
     _pvalue,
     critical_value,
     limit_quantile,
@@ -30,7 +31,7 @@ from .nulldist import (
 )
 from .parallel import LIMIT, derive_seed, float_key
 from .samplers import parse_spec
-from .standardize import check_sample_size, load_csv, scaled_residuals
+from .standardize import load_csv, scaled_residuals
 from .statistic import check_alpha, t_statistic
 
 
@@ -91,15 +92,6 @@ def _check_run_config(args) -> None:
     check_alpha(args.alpha)
 
 
-def _cell_checkpoint(args, *parts) -> str | None:
-    directory = getattr(args, "checkpoint", None)
-    if not directory:
-        return None
-    os.makedirs(directory, exist_ok=True)
-    name = "-".join(str(p) for p in parts)
-    return os.path.join(directory, f"{name}.npz")
-
-
 def _add_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="numeric CSV, one observation per row")
     p.add_argument("--delimiter", default=",")
@@ -110,13 +102,15 @@ def cmd_test(args) -> int:
     _check_run_config(args)
     data = load_csv(args.input, delimiter=args.delimiter, header=args.header)
     sample = scaled_residuals(data)
+    for a in args.a:
+        _check_cell(sample.d, sample.n, a)
     rows = []
     for a in args.a:
         stat = t_statistic(sample, a)
         _progress(f"simulating null for a={a:g} ({args.reps} replications)")
         null = mc_null_sample(
             sample.d, sample.n, a, args.reps, args.seed, workers=args.workers, progress=True,
-            checkpoint=_cell_checkpoint(args, "test", sample.d, sample.n, a, args.seed),
+            checkpoint=args.checkpoint,
         )
         pval = _pvalue(null, stat.scaled)
         crit = critical_value(null, args.alpha)
@@ -153,9 +147,9 @@ def cmd_crit_table(args) -> int:
             f"--resume needs --format json: a {args.format} rendering in --output cannot be "
             "read back, so every rerun would start over"
         )
-    for d in args.d:
-        for n in args.n:
-            check_sample_size(n, d)
+    for d, n, a in itertools.product(args.d, args.n, args.a):
+        _check_cell(d, n, a)
+    limit_cfg = LimitSamplerConfig(m=args.m, ell=args.ell) if math.inf in args.n else None
     table = CriticalValueTable(replications=args.reps, seed=args.seed)
     done = set()
     if args.resume:
@@ -176,27 +170,23 @@ def cmd_crit_table(args) -> int:
             table.entries.update(prev.entries)
             done = set(prev.entries)
             _progress(f"resuming: {len(done)} cells already present")
-    for d in args.d:
-        for n in args.n:
-            for a in args.a:
-                key = CriticalValueTable._key(d, n, a, args.alpha)
-                if key in done:
-                    continue
-                if math.isinf(n):
-                    seed = derive_seed(args.seed, LIMIT, d, float_key(a))
-                    cfg = LimitSamplerConfig(m=args.m, ell=args.ell, seed=seed)
-                    q = limit_quantile(d, a, args.alpha, cfg)
-                else:
-                    q = power_mod.t_critical_value(
-                        d, int(n), a, args.alpha, args.reps, args.seed, workers=args.workers,
-                        checkpoint=_cell_checkpoint(args, "crit", d, int(n), a, args.seed),
-                        progress=True,
-                    )
-                table.add(d, n, a, args.alpha, q)
-                _progress(f"d={d} n={n} a={a:g}: quantile {q:.4f}")
-                if args.resume:
-                    with open(args.output, "w") as f:
-                        f.write(table.to_json() + "\n")
+    for d, n, a in itertools.product(args.d, args.n, args.a):
+        key = CriticalValueTable._key(d, n, a, args.alpha)
+        if key in done:
+            continue
+        if math.isinf(n):
+            seed = derive_seed(args.seed, LIMIT, d, float_key(a))
+            q = limit_quantile(d, a, args.alpha, replace(limit_cfg, seed=seed))
+        else:
+            q = power_mod.t_critical_value(
+                d, int(n), a, args.alpha, args.reps, args.seed, workers=args.workers,
+                checkpoint=args.checkpoint, progress=True,
+            )
+        table.add(d, n, a, args.alpha, q)
+        _progress(f"d={d} n={n} a={a:g}: quantile {q:.4f}")
+        if args.resume:
+            with open(args.output, "w") as f:
+                f.write(table.to_json() + "\n")
     if args.format == "json":
         text = table.to_json() + "\n"
     else:
@@ -233,6 +223,7 @@ def cmd_power(args) -> int:
 
 
 def _estimate(args):
+    check_alpha(args.alpha)
     data = load_csv(args.input, delimiter=args.delimiter, header=args.header)
     return delta_estimate(scaled_residuals(data), args.a)
 
@@ -262,6 +253,7 @@ def cmd_delta_ci(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    check_delta0(args.delta0)
     est = _estimate(args)
     result = validation_test(est, args.delta0, args.alpha)
     verdict = "reject (validated: within delta0 of normality)" if result.reject else "retain"
@@ -275,15 +267,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_limit_quantile(args) -> int:
-    for d in args.d:
-        check_sample_size(math.inf, d)
+    for d, a in itertools.product(args.d, args.a):
+        _check_cell(d, math.inf, a)
     cfg = LimitSamplerConfig(m=args.m, ell=args.ell, seed=args.seed)
     rows = []
-    for d in args.d:
-        for a in args.a:
-            q = limit_quantile(d, a, args.alpha, cfg)
-            rows.append([d, a, args.alpha, args.m, args.ell, args.seed, q])
-            _progress(f"d={d} a={a:g}: limit quantile {q:.4f}")
+    for d, a in itertools.product(args.d, args.a):
+        q = limit_quantile(d, a, args.alpha, cfg)
+        rows.append([d, a, args.alpha, args.m, args.ell, args.seed, q])
+        _progress(f"d={d} a={a:g}: limit quantile {q:.4f}")
     header = ["d", "a", "alpha", "m", "ell", "seed", "quantile"]
     _emit(args, _render_rows(args.format, header, rows))
     return 0

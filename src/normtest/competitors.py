@@ -22,6 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
+from .samplers import _number
 from .standardize import StandardizedSample, _whiten, _whitenable
 from .statistic import _mardia_skewness, _mrs_skewness, _pairwise_sum
 
@@ -52,7 +53,7 @@ class CompetitorSpec:
 def _check_tuning(kind: str, tuning: float) -> float:
     """The tuning of a kind that takes one, if finite and strictly above the kind's bound."""
     name, bound = _TABLE[kind].bound
-    if not (math.isfinite(tuning) and tuning > bound):
+    if isinstance(tuning, str) or not (math.isfinite(tuning) and tuning > bound):
         raise ValueError(f"{kind} requires a finite {name} > {bound:g}, got {tuning!r}")
     return tuning
 
@@ -61,7 +62,7 @@ def parse_competitor(text: str) -> CompetitorSpec:
     """Parse strings like ``bhep:0.5``, ``hv:5``, ``hvinf``, ``bcmr``."""
     head, sep, rest = text.strip().lower().partition(":")
     head = {"hvinf": "hv_inf"}.get(head, head)
-    tuning = float(rest) if sep and rest else None
+    tuning = _number(rest) if sep and rest else None  # CompetitorSpec refuses a string, naming both
     return CompetitorSpec(kind=head, tuning=tuning)
 
 
@@ -272,6 +273,7 @@ class _Kind(NamedTuple):
     bound: tuple[str, float] | None  # (name, strict lower bound) of the tuning; None: takes none
     # One value per slice of a float (..., n, d) stack of raw samples, not validated.
     statistic: Callable[[np.ndarray, float | None], np.ndarray]
+    univariate: bool = False  # defined at d = 1 only
 
 
 # The one per-kind table: validation, defaults, seeds and dispatch all read it.
@@ -280,8 +282,8 @@ _TABLE = {
     "hjg": _Kind(11, 1.5, ("beta", 1.0), lambda x, beta: _hjg(_whiten(x)[0], beta)),
     "hv": _Kind(12, 5.0, ("gamma", 2.0), lambda x, gamma: _hv(_whiten(x)[0], gamma)),
     "hv_inf": _Kind(13, None, None, lambda x, _: _hv_inf(_whiten(x)[0])),
-    "bcmr": _Kind(14, None, None, lambda x, _: _bcmr(x)),
-    "be": _Kind(15, 1.0, ("a", 0.0), lambda x, a: _be(_whiten(x)[0], a)),
+    "bcmr": _Kind(14, None, None, lambda x, _: _bcmr(x), univariate=True),
+    "be": _Kind(15, 1.0, ("a", 0.0), lambda x, a: _be(_whiten(x)[0], a), univariate=True),
 }
 KINDS = tuple(_TABLE)
 

@@ -307,10 +307,15 @@ class ValidationResult:
     alpha: float
 
 
-def validation_test(est: DeltaEstimate, delta0: float, alpha: float) -> ValidationResult:
-    """Reject H: Delta_a >= delta0 iff T/n <= delta0 - (sigma/sqrt n) z_{1-alpha}."""
+def check_delta0(delta0: float) -> None:
+    """Validate a validation-test margin delta0 (positive, finite)."""
     if not 0.0 < delta0 < math.inf:
         raise ValueError(f"delta0 must be a positive finite real, got {delta0}")
+
+
+def validation_test(est: DeltaEstimate, delta0: float, alpha: float) -> ValidationResult:
+    """Reject H: Delta_a >= delta0 iff T/n <= delta0 - (sigma/sqrt n) z_{1-alpha}."""
+    check_delta0(delta0)
     check_alpha(alpha)
     threshold = delta0 - est.sigma_hat / np.sqrt(est.n) * float(ndtri(1.0 - alpha))
     return ValidationResult(

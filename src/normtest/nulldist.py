@@ -20,7 +20,7 @@ import numpy as np
 
 from . import parallel, statistic
 from .competitors import _TABLE, CompetitorSpec
-from .samplers import AlternativeSpec, sample
+from .samplers import AlternativeSpec, _check_dimension, sample
 from .standardize import _whiten, check_sample_size
 from .statistic import StatisticValue, _scaled_t, check_alpha, check_tuning, scaling_factor
 
@@ -90,9 +90,8 @@ def expected_limit(d: int, a: float) -> float:
     in the tests against direct quadrature of K(t, t) w_a and against the
     empirical mean of the simulated null statistic at large n.
     """
-    a = check_tuning(a)
+    a = _check_cell(d, math.inf, a)
     d = int(d)
-    check_sample_size(math.inf, d)
 
     def c(j: int) -> float:
         return np.pi ** (d / 2.0) * d / (a + 1.0) ** (d / 2.0 + j)
@@ -133,36 +132,44 @@ def _rep(
     return out
 
 
+def _check_cell(
+    d: int, n: float, column: float | CompetitorSpec, alt: AlternativeSpec = _NULL
+) -> float | CompetitorSpec:
+    """Check the cell ``column`` (T at ``a``, or a competitor) on n draws of ``alt`` in dimension d,
+    n = math.inf for the limit law; return the column, a float ``a`` normalised."""
+    check_sample_size(n, d)
+    _check_dimension(alt, d)
+    if not isinstance(column, CompetitorSpec):
+        return check_tuning(column)
+    if d > 1 and _TABLE[column.kind].univariate:
+        raise ValueError(f"{column.kind} is univariate")
+    return column
+
+
+def _cell(
+    alt: AlternativeSpec, d: int, n: int, column: float | CompetitorSpec, replications: int, seed: int,
+    *, workers: int | None = 1, checkpoint: str | None = None, progress: bool = False,
+) -> np.ndarray:
+    """The one Monte Carlo run of a cell: replication i is ``column`` on a draw
+    from ``alt`` made with ``substream(seed, i)``, in replication order."""
+    args = (alt, n, d, _check_cell(d, n, column, alt))
+    return parallel.map_replications(
+        _rep, replications, seed, args=args, workers=workers, checkpoint=checkpoint, progress=progress
+    )
+
+
 def mc_null_sample(
-    d: int,
-    n: int,
-    a: float,
-    replications: int,
-    seed: int,
-    *,
-    workers: int | None = 1,
-    checkpoint: str | None = None,
-    progress: bool = False,
+    d: int, n: int, a: float, replications: int, seed: int,
+    *, workers: int | None = 1, checkpoint: str | None = None, progress: bool = False,
 ) -> np.ndarray:
     """Simulate the scaled statistic under H0; returns the sorted sample.
 
     Deterministic given ``seed``: replication i uses the substream derived
     from (seed, i), so values do not depend on the worker count.
     """
-    a = check_tuning(a)
-    check_sample_size(n, d)
-    meta = f"null d={d} n={n} a={a!r} R={replications} seed={seed}"
-    vals = parallel.map_replications(
-        _rep,
-        replications,
-        seed,
-        args=(_NULL, n, d, a),
-        workers=workers,
-        checkpoint=checkpoint,
-        checkpoint_meta=meta,
-        progress=progress,
+    return np.sort(
+        _cell(_NULL, d, n, a, replications, seed, workers=workers, checkpoint=checkpoint, progress=progress)
     )
-    return np.sort(vals)
 
 
 def critical_value(samples, alpha: float) -> float:
@@ -219,14 +226,7 @@ class LimitSamplerConfig:
             raise ValueError("need at least one replicate")
 
 
-def limit_quantile(
-    d: int,
-    a: float,
-    alpha: float,
-    config: LimitSamplerConfig,
-    *,
-    support_points=None,
-) -> float:
+def limit_quantile(d: int, a: float, alpha: float, config: LimitSamplerConfig) -> float:
     """Approximate the (1-alpha) quantile of the scaled limiting statistic.
 
     Draws m support points U_k ~ N_d(0, (2a)^{-1} I) matched to the weight
@@ -241,18 +241,11 @@ def limit_quantile(
     each replicate costs m normal draws and one dot product.  The draws are
     streamed through one buffer of about 2^20 doubles, so working memory is
     O(m^2) plus the ell results, and the draws do not depend on the chunking.
-
-    ``support_points`` overrides the random U draw (diagnostics only); its
-    row count must equal ``config.m``.
     """
-    a = check_tuning(a)
+    a = _check_cell(d, math.inf, a)
     check_alpha(alpha)
-    check_sample_size(math.inf, d)
     rng = parallel.substream(config.seed)
-    if support_points is None:
-        u = rng.normal(scale=np.sqrt(0.5 / a), size=(config.m, d))
-    else:
-        u = np.asarray(support_points, dtype=float).reshape(config.m, d)
+    u = rng.normal(scale=np.sqrt(0.5 / a), size=(config.m, d))
     sk = _kernel_matrix(u, d)
     sk = 0.5 * (sk + sk.T)
     sk[np.diag_indices_from(sk)] += _JITTER * np.trace(sk) / config.m

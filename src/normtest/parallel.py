@@ -13,13 +13,15 @@ hashed from numpy's own ``SeedSequence(seed).pool`` for the whole chunk at
 once.  One gather loop serves every worker count: it maps the chunks with the
 builtin ``map`` on one worker and with ``ProcessPoolExecutor.map`` on a pool,
 both of which yield in replication order, so results, progress and
-checkpoints always cover a prefix.
+checkpoints always cover a prefix.  The engine names each checkpoint file
+from the run's description (function, arguments, replications and seed).
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import operator
 import os
 import sys
@@ -179,6 +181,12 @@ def _save_checkpoint(path: str, meta: str, values: np.ndarray) -> None:
         raise
 
 
+def _checkpoint_file(fn, args: tuple, replications: int, seed: int, directory: str) -> tuple[str, str]:
+    """(path, description) of a run's checkpoint, the file named by the description's SHA-256."""
+    meta = f"{fn.__module__}.{fn.__qualname__}{args!r} R={replications} seed={seed}"
+    return os.path.join(directory, hashlib.sha256(meta.encode()).hexdigest()[:16] + ".npz"), meta
+
+
 def map_replications(
     fn,
     replications: int,
@@ -187,7 +195,6 @@ def map_replications(
     args: tuple = (),
     workers: int | None = 1,
     checkpoint: str | None = None,
-    checkpoint_meta: str = "",
     progress: bool = False,
 ) -> np.ndarray:
     """Evaluate replications 0..replications-1, replication i on ``substream(seed, i)``.
@@ -198,18 +205,20 @@ def map_replications(
     the k-th substream only.  The sequence reuses one generator, so ``fn``
     must consume item k before it takes item k+1 and keep no reference to
     it.  ``fn`` must be a picklable module-level callable.
-    With ``checkpoint`` set, the completed prefix is persisted whenever it
-    crosses a multiple of :data:`CHECKPOINT_EVERY` replications and at the
-    end, and reused on rerun when
-    ``checkpoint_meta`` (a description of the run parameters) matches.
+    With ``checkpoint`` (a directory) set, the completed prefix is persisted
+    whenever it crosses a multiple of :data:`CHECKPOINT_EVERY` replications
+    and at the end, to the file :func:`_checkpoint_file` names, and reused on
+    a rerun whose description matches.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     nworkers = resolve_workers(workers)
     out = np.empty(replications)
     start = 0
-    if checkpoint is not None:
-        prev = _load_checkpoint(checkpoint, checkpoint_meta)
+    if checkpoint:
+        os.makedirs(checkpoint, exist_ok=True)
+        path, meta = _checkpoint_file(fn, args, replications, seed, checkpoint)
+        prev = _load_checkpoint(path, meta)
         if prev is not None:
             start = min(len(prev), replications)
             out[:start] = prev[:start]
@@ -233,10 +242,10 @@ def map_replications(
             out[lo:hi] = values
             if progress:
                 print(f"\r{hi}/{replications} replications", end="", file=sys.stderr, flush=True)
-            if checkpoint is not None and (
+            if checkpoint and (
                 hi // CHECKPOINT_EVERY > lo // CHECKPOINT_EVERY or hi == replications
             ):
-                _save_checkpoint(checkpoint, checkpoint_meta, out[:hi])
+                _save_checkpoint(path, meta, out[:hi])
     if progress:
         print(file=sys.stderr)
     return out

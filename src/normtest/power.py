@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import parallel
 from .competitors import _TABLE, CompetitorSpec
-from .nulldist import _NULL, _rep, critical_value, mc_null_sample
+from .nulldist import _NULL, _cell, _check_cell, critical_value, mc_null_sample
 from .parallel import ALT, CRIT, derive_seed, float_key
 from .samplers import AlternativeSpec
-from .standardize import check_sample_size
 
 
 def _cell_seed(seed: int, purpose: int, d: int, n: int, column: float | CompetitorSpec) -> int:
@@ -28,17 +26,6 @@ def _cell_seed(seed: int, purpose: int, d: int, n: int, column: float | Competit
     else:
         key = (float_key(column),)
     return derive_seed(seed, purpose, d, n, *key)
-
-
-def _replicates(
-    purpose: int, alt: AlternativeSpec, d: int, n: int, column: float | CompetitorSpec,
-    replications: int, seed: int, workers,
-) -> np.ndarray:
-    check_sample_size(n, d)
-    return parallel.map_replications(
-        _rep, replications, _cell_seed(seed, purpose, d, n, column), args=(alt, n, d, column),
-        workers=workers,
-    )
 
 
 def t_critical_value(
@@ -55,21 +42,24 @@ def t_critical_value(
 def competitor_critical_value(
     comp: CompetitorSpec, d: int, n: int, alpha: float, replications: int, seed: int, *, workers=1
 ) -> float:
-    return critical_value(_replicates(CRIT, _NULL, d, n, comp, replications, seed, workers), alpha)
+    vals = _cell(_NULL, d, n, comp, replications, _cell_seed(seed, CRIT, d, n, comp), workers=workers)
+    return critical_value(vals, alpha)
 
 
 def t_power(
     alt: AlternativeSpec, d: int, n: int, a: float, crit: float, replications: int, seed: int, *, workers=1
 ) -> float:
     """Rejection rate of the main statistic against ``alt`` at a fixed critical value."""
-    return float(np.mean(_replicates(ALT, alt, d, n, a, replications, seed, workers) > crit))
+    vals = _cell(alt, d, n, a, replications, _cell_seed(seed, ALT, d, n, a), workers=workers)
+    return float(np.mean(vals > crit))
 
 
 def competitor_power(
     alt: AlternativeSpec, comp: CompetitorSpec, d: int, n: int, crit: float, replications: int, seed: int,
     *, workers=1,
 ) -> float:
-    return float(np.mean(_replicates(ALT, alt, d, n, comp, replications, seed, workers) > crit))
+    vals = _cell(alt, d, n, comp, replications, _cell_seed(seed, ALT, d, n, comp), workers=workers)
+    return float(np.mean(vals > crit))
 
 
 def power_matrix(
@@ -91,12 +81,14 @@ def power_matrix(
     Columns are the main statistic at each ``a`` followed by the competitors.
     ``crit_replications`` (default: same as ``replications``) controls the
     null simulations for the critical values, which are shared across rows.
-    A study with no column, too few observations or no critical-value
-    replication is refused before any simulation.
+    A study with no column, an invalid cell or no critical-value replication
+    is refused before any simulation.
     """
     if not a_list and not competitors:
         raise ValueError("a power study needs at least one column: an a or a competitor")
-    check_sample_size(n, d)
+    for alt in [_NULL, *alternatives]:
+        for column in [*a_list, *competitors]:
+            _check_cell(d, n, column, alt)
     crit_reps = replications if crit_replications is None else crit_replications
     if crit_reps < 1:
         raise ValueError(f"critical-value replications must be >= 1, got {crit_reps}")

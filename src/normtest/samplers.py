@@ -17,9 +17,9 @@ a compact string grammar (used by the CLI): ``kind:name=value,...`` or
     prod:<univariate spec>       i.i.d. coordinates, e.g. prod:gamma(5,1)
     spherical:<univariate spec>  R * (uniform direction), e.g. spherical:exp(1)
 
-nmix and the kinds from t on are univariate: drawn at d = 1, or as the base of
-prod or spherical.  uniform, and laplace and logistic at their default scales,
-have unit variance; pvii(theta) has density c (1+x^2)^-theta.
+nmix and the kinds from t on are univariate (a base of prod or spherical); the
+kinds from t on are drawn at d = 1 only.  uniform, and laplace and logistic at
+their default scales, have unit variance; pvii(theta) has density c (1+x^2)^-theta.
 """
 
 from __future__ import annotations
@@ -199,19 +199,18 @@ class _Kind(NamedTuple):
     params: dict = {}  # name -> default, in positional order; a default of None marks a required one
     rule: Callable[..., bool] = lambda: True  # of every parameter, in positional order
     message: str = ""  # what the rule requires
-    univariate: bool = False  # drawn at d = 1; may be the base of prod and spherical
+    univariate: bool = False  # may be the base of prod and spherical
     takes_base: bool = False  # draws from a univariate base, spec.base
+    d_one: bool = False  # drawn at d = 1 only
 
 
 def _uni(draw1, *validation) -> _Kind:
-    """Row of a univariate kind whose ``draw1(rng, n, *values)`` returns n draws."""
+    """Row of a univariate kind whose ``draw1(rng, n, *values)`` returns n draws, at d = 1 only."""
 
     def draw(rng, n, d, spec):
-        if d != 1:
-            raise ValueError(f"{spec.kind} is univariate; use prod:{spec.label()} for d={d}")
         return draw1(rng, n, *spec.values)[:, None]
 
-    return _Kind(draw, *validation, univariate=True)
+    return _Kind(draw, *validation, univariate=True, d_one=True)
 
 
 def _positive(*names: str) -> tuple:
@@ -254,9 +253,16 @@ _TABLE = {
 }
 
 
+def _check_dimension(spec: AlternativeSpec, d: int) -> None:
+    """Refuse a kind drawn at d = 1 only at any other d."""
+    if d != 1 and _TABLE[spec.kind].d_one:
+        raise ValueError(f"{spec.kind} is univariate; use prod:{spec.label()} for d={d}")
+
+
 def sample(spec: AlternativeSpec, n: int, seed_or_rng, d: int = 1) -> np.ndarray:
     """Draw an (n, d) data matrix; deterministic given (spec, n, seed, d)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_dimension(spec, d)
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else substream(int(seed_or_rng))
     return _draw(spec, rng, n, d)

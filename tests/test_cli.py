@@ -1,18 +1,23 @@
 import argparse
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from normtest import cli
 from normtest.cli import build_parser, main
 from normtest.nulldist import LimitSamplerConfig, limit_quantile
 from normtest.parallel import LIMIT, derive_seed, float_key
 from conftest import make_rng
 
 IRIS = pathlib.Path(__file__).parent / "data" / "iris.csv"
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _write_normal_csv(path, n=60, d=2, seed=1):
@@ -360,6 +365,64 @@ def test_zero_dimension_refused_before_any_simulation(capsys, argv):
     # one message, before the progress line of any cell
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: need dimension d >= 1, got d=0\n"
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the O(n^2) estimate ran before the input was checked")
+
+
+_SECOND_A = "tuning parameter a must be a positive finite real, got -1.0"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["crit-table", "--d", "1", "--n", "10", "--a", "1", "--a", "-1", "--reps", "200", "--workers", "1"],
+         _SECOND_A),
+        (["limit-quantile", "--d", "1", "--a", "1", "--a", "-1", "--m", "50", "--ell", "500"], _SECOND_A),
+        (["test", "--input", str(IRIS), "--header", "--a", "1", "--a", "-1", "--reps", "200", "--workers", "1"],
+         _SECOND_A),
+        (["power", "--alt", "std", "--d", "2", "--n", "20", "--a", "1", "--competitor", "be", "--reps", "50",
+          "--workers", "1"], "be is univariate"),
+        (["power", "--alt", "std", "--alt", "t:nu=3", "--d", "2", "--n", "20", "--a", "1", "--a", "2",
+          "--competitor", "bhep", "--reps", "50", "--crit-reps", "200", "--workers", "1"],
+         "t is univariate; use prod:t(nu=3.0) for d=2"),
+        (["crit-table", "--d", "1", "--n", "10", "--n", "inf", "--a", "1", "--reps", "200", "--m", "1",
+          "--workers", "1"], "need at least m=2 support points"),
+        (["power", "--alt", "std", "--d", "2", "--n", "20", "--a", "1", "--competitor", "bhep:abc", "--reps", "50",
+          "--workers", "1"], "bhep requires a finite a > 0, got 'abc'"),
+        (["delta-ci", "--input", str(IRIS), "--header", "--a", "0.5", "--alpha", "2"], "alpha must be in (0, 1)"),
+        (["validate", "--input", str(IRIS), "--header", "--a", "0.5", "--delta0", "-1"],
+         "delta0 must be a positive finite real, got -1.0"),
+    ],
+    ids=["crit-table-second-a", "limit-quantile-second-a", "test-second-a", "power-univariate-competitor",
+         "power-univariate-alternative", "crit-table-inf-m", "power-non-numeric-tuning", "delta-ci-alpha",
+         "validate-delta0"],
+)
+def test_late_input_refused_before_any_simulation(capsys, monkeypatch, argv, message):
+    # stderr holds the error alone: no progress, critical-value or quantile line came before it
+    monkeypatch.setattr(cli, "delta_estimate", _never)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_checkpoint_rerun_in_a_fresh_process_resumes(tmp_path):
+    data = _write_normal_csv(tmp_path / "x.csv", n=10, d=1)
+    chk = tmp_path / "state"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "normtest.cli", "test", "--input", data, "--a", "1", "--reps", "25000",
+             "--seed", "2", "--workers", "1", "--checkpoint", str(chk)],
+            env=env | {"PYTHONHASHSEED": str(hashseed)}, capture_output=True, text=True, check=True, timeout=120,
+        )
+        for hashseed in (1, 2)
+    ]
+    assert runs[1].stdout == runs[0].stdout
+    assert "resumed 25000/25000 replications" in runs[1].stderr
+    # the engine names the file from the run's description
+    assert [re.fullmatch(r"[0-9a-f]{16}\.npz", p.name) is not None for p in chk.iterdir()] == [True]
 
 
 def _cli_flags() -> set[str]:

@@ -306,6 +306,12 @@ class TestSpecParsing:
         assert evaluate(CompetitorSpec("bhep", 1.0), x) == pytest.approx(bhep(s, 1.0))
         assert evaluate(CompetitorSpec("be", 1.0), x) == pytest.approx(be(s, 1.0))
 
+    def test_non_numeric_tuning_names_the_kind_and_the_tuning(self):
+        with pytest.raises(ValueError, match=r"^bhep requires a finite a > 0, got 'abc'$"):
+            parse_competitor("bhep:abc")
+        with pytest.raises(ValueError, match=r"^bcmr takes no tuning, got 'abc'$"):
+            parse_competitor("bcmr:abc")
+
     @pytest.mark.parametrize("kind", ["hv_inf", "bcmr"])
     def test_tuning_refused_by_a_kind_that_takes_none(self, kind):
         # it would change the label and the seed key but not the statistic

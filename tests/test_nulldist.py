@@ -206,12 +206,12 @@ class TestBlockEngine:
         np.testing.assert_array_equal(one, two)
 
     def test_resume_inside_a_block(self, tmp_path):
-        path = str(tmp_path / "c.npz")
         args = (nulldist._NULL, 50, 2, 1.5)
         full = parallel.map_replications(nulldist._rep, 100, 3, args=args, workers=1)
-        parallel._save_checkpoint(path, "m", full[:40])  # 40 ends inside the second block of 26
+        path, meta = parallel._checkpoint_file(nulldist._rep, args, 100, 3, str(tmp_path))
+        parallel._save_checkpoint(path, meta, full[:40])  # 40 ends inside the second block of 26
         resumed = parallel.map_replications(
-            nulldist._rep, 100, 3, args=args, workers=1, checkpoint=path, checkpoint_meta="m"
+            nulldist._rep, 100, 3, args=args, workers=1, checkpoint=str(tmp_path)
         )
         np.testing.assert_array_equal(resumed, full)
 
@@ -339,10 +339,10 @@ class TestLimitQuantile:
         with pytest.raises(KernelNotPSD):
             limit_quantile(1, 1.0, 0.05, LimitSamplerConfig(m=4, ell=100, seed=0))
 
-    def test_degenerate_support_points(self):
+    def test_degenerate_support_points(self, monkeypatch):
+        monkeypatch.setattr(nulldist, "_kernel_matrix", lambda u, d: np.zeros((len(u), len(u))))
         cfg = LimitSamplerConfig(m=2, ell=500, seed=1)
-        q = limit_quantile(1, 1.0, 0.05, cfg, support_points=np.zeros((2, 1)))
-        assert q == 0.0
+        assert limit_quantile(1, 1.0, 0.05, cfg) == 0.0
 
     def test_deterministic(self):
         cfg = LimitSamplerConfig(m=60, ell=4000, seed=42)

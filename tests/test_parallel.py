@@ -135,31 +135,32 @@ class TestPowerSeedLayout:
         assert rows == [[10.0, 0.0, 10.0], [55.00000000000001, 42.5, 42.5], [7.5, 7.5, 2.5]]
 
 
+class TestPowerCellCheck:
+    @pytest.mark.parametrize("a", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_t_power_refuses_a_bad_a(self, a):
+        with pytest.raises(ValueError, match="tuning parameter a must be a positive finite real"):
+            power.t_power(parse_spec("uniform"), 1, 20, a, 0.5, 50, 3)
+
+
 class TestCheckpoint:
     def test_reused_when_meta_matches(self, tmp_path):
-        path = str(tmp_path / "c.npz")
+        path, meta = parallel._checkpoint_file(_first_normal, (), 10, 1, str(tmp_path))
         fake = np.arange(10.0)
-        parallel._save_checkpoint(path, "meta-x R=10", fake)
-        out = parallel.map_replications(
-            _first_normal, 10, seed=1, workers=1, checkpoint=path, checkpoint_meta="meta-x R=10"
-        )
+        parallel._save_checkpoint(path, meta, fake)
+        out = parallel.map_replications(_first_normal, 10, seed=1, workers=1, checkpoint=str(tmp_path))
         np.testing.assert_array_equal(out, fake)
 
     def test_ignored_when_meta_differs(self, tmp_path):
-        path = str(tmp_path / "c.npz")
+        path, _ = parallel._checkpoint_file(_first_normal, (), 10, 1, str(tmp_path))
         parallel._save_checkpoint(path, "other", np.arange(10.0))
-        out = parallel.map_replications(
-            _first_normal, 10, seed=1, workers=1, checkpoint=path, checkpoint_meta="mine"
-        )
+        out = parallel.map_replications(_first_normal, 10, seed=1, workers=1, checkpoint=str(tmp_path))
         manual = np.array([_first_normal([parallel.substream(1, i)])[0] for i in range(10)])
         np.testing.assert_array_equal(out, manual)
 
     def test_written_at_completion(self, tmp_path):
-        path = str(tmp_path / "c.npz")
-        out = parallel.map_replications(
-            _first_normal, 25, seed=2, workers=1, checkpoint=path, checkpoint_meta="m"
-        )
-        saved = parallel._load_checkpoint(path, "m")
+        out = parallel.map_replications(_first_normal, 25, seed=2, workers=1, checkpoint=str(tmp_path))
+        path, meta = parallel._checkpoint_file(_first_normal, (), 25, 2, str(tmp_path))
+        saved = parallel._load_checkpoint(path, meta)
         np.testing.assert_array_equal(saved, out)
 
     def test_saved_when_prefix_crosses_a_multiple(self, tmp_path, monkeypatch):
@@ -167,10 +168,7 @@ class TestCheckpoint:
         monkeypatch.setattr(parallel, "CHECKPOINT_EVERY", 150)
         saved = []
         monkeypatch.setattr(parallel, "_save_checkpoint", lambda path, meta, v: saved.append(len(v)))
-        parallel.map_replications(
-            _first_normal, 1000, seed=3, workers=1, checkpoint=str(tmp_path / "c.npz"),
-            checkpoint_meta="m",
-        )
+        parallel.map_replications(_first_normal, 1000, seed=3, workers=1, checkpoint=str(tmp_path))
         assert saved == [250, 375, 500, 625, 750, 1000]
 
 

@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import re
 
@@ -213,4 +214,20 @@ class TestOneWhitening:
 
     def test_one_replication_path_in_power(self):
         text = (ROOT / "src" / "normtest" / "power.py").read_text()
-        assert text.count("map_replications(") == 1 and text.count("derive_seed(") == 1
+        assert "map_replications(" not in text and text.count("derive_seed(") == 1
+        assert (ROOT / "src" / "normtest" / "nulldist.py").read_text().count("map_replications(") == 1
+
+    def test_one_monte_carlo_cell(self):
+        # outside the engine, every simulation is nulldist._cell; the CLI checks cells through it
+        calls = [
+            (f.name, fn.name)
+            for f in sorted((ROOT / "src" / "normtest").glob("*.py"))
+            if f.name != "parallel.py"
+            for fn in ast.walk(ast.parse(f.read_text()))
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and "map_replications" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+        ]
+        assert calls == [("nulldist.py", "_cell")]
+        assert "check_sample_size" not in (ROOT / "src" / "normtest" / "cli.py").read_text()
