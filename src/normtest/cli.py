@@ -149,7 +149,10 @@ def cmd_crit_table(args) -> int:
         )
     for d, n, a in itertools.product(args.d, args.n, args.a):
         _check_cell(d, n, a)
-    limit_cfg = LimitSamplerConfig(m=args.m, ell=args.ell) if math.inf in args.n else None
+    given = {k: v for k, v in (("m", args.m), ("ell", args.ell)) if v is not None}
+    if given and math.inf not in args.n:
+        raise ValueError(f"nothing reads {' or '.join('--' + k for k in given)}: no --n inf row was asked for")
+    limit_cfg = LimitSamplerConfig(**given) if math.inf in args.n else None
     table = CriticalValueTable(replications=args.reps, seed=args.seed)
     done = set()
     if args.resume:
@@ -301,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, action="append", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=100_000)
-    p.add_argument("--m", type=int, default=1000, help="support points for n=inf entries")
-    p.add_argument("--ell", type=int, default=100_000, help="replicates for n=inf entries")
+    p.add_argument("--m", type=int, help="support points for n=inf entries (default 1000)")
+    p.add_argument("--ell", type=int, help="replicates for n=inf entries (default 100000)")
     p.add_argument("--resume", action="store_true", help="reuse cells from the json --output (needs --format json)")
     p.add_argument("--checkpoint", default=None, help="directory for resumable within-cell state")
     _add_seed(p)

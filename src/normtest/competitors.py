@@ -24,7 +24,7 @@ from scipy.special import ndtr, ndtri
 
 from .samplers import _number
 from .standardize import StandardizedSample, _whiten, _whitenable
-from .statistic import _mardia_skewness, _mrs_skewness, _pairwise_sum
+from .statistic import _affine_factors, _exp, _Kernel, _mardia_skewness, _mrs_skewness, _pairwise_sum
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,7 @@ def _bhep(y: np.ndarray, a: float) -> np.ndarray:
     n, d = y.shape[-2:]
     r = np.einsum("...ij,...ij->...i", y, y)
 
-    def kernel(g, rj, rk):
-        g *= -2.0
-        g += rj[..., :, None] + rk[..., None, :]  # ||Y_j - Y_k||^2
-        np.maximum(g, 0.0, out=g)
-        g *= -0.5 * a * a
-        return np.exp(g, out=g)
-
-    term1 = _pairwise_sum(y, r, kernel) / n**2
+    term1 = _pairwise_sum(_bhep_kernel(y, r, a)) / n**2
     term2 = (
         2.0
         * (1.0 + a * a) ** (-d / 2.0)
@@ -91,6 +84,17 @@ def _bhep(y: np.ndarray, a: float) -> np.ndarray:
     )
     term3 = (1.0 + 2.0 * a * a) ** (-d / 2.0)
     return term1 - term2 + term3
+
+
+def _bhep_kernel(y: np.ndarray, r: np.ndarray, a: float) -> _Kernel:
+    """Kernel exp(-a^2/2 ||Y_j - Y_k||^2), its exponent clipped at 0 and exactly 0 on the diagonal."""
+    left, right = _affine_factors(y, r, (a * a, -0.5 * a * a, 0.0))
+
+    def finish(e):
+        np.minimum(e[0], 0.0, out=e[0])
+        return np.exp(e[0], out=e[0])
+
+    return _Kernel(left, right, np.zeros(left.shape[:-1]), finish)
 
 
 def _finite(kind: str, tuning: float | None, y: np.ndarray, value) -> float:
@@ -129,19 +133,24 @@ def _hjg(y: np.ndarray, beta: float) -> np.ndarray:
     rmax = r.max(axis=-1)
     c = rmax / beta
 
-    def kernel(g, rj, rk):
-        g *= 2.0
-        g += (rj - 4.0 * rmax[..., None])[..., :, None] + rk[..., None, :]  # ||Y_j + Y_k||^2 - 4 rmax
-        g /= 4.0 * beta
-        return np.exp(g, out=g)
-
-    term1 = _pairwise_sum(y, r, kernel) / (n * beta ** (d / 2.0))
+    term1 = _pairwise_sum(_hjg_kernel(y, r, beta)) / (n * beta ** (d / 2.0))
     term2 = 2.0 * (beta - 0.5) ** (-d / 2.0) * np.exp(r / (4.0 * beta - 2.0) - c[..., None]).sum(axis=-1)
     # libm's exp, one slice at a time: np.exp differs from it in the last bit
     # for a few percent of arguments, and the tabulated values use libm's.
     exp_minus_c = np.array([math.exp(-v) for v in c.flat]).reshape(c.shape)
     term3 = n * (beta - 1.0) ** (-d / 2.0) * exp_minus_c
     return (term1 - term2 + term3) * np.exp(c)
+
+
+def _hjg_kernel(y: np.ndarray, r: np.ndarray, beta: float) -> _Kernel:
+    """Kernel exp((||Y_j + Y_k||^2 - 4 rmax) / (4 beta)), rmax = max_j ||Y_j||^2 per slice.
+
+    The diagonal exponent is formed as (2r + ((r - 4 rmax) + r)) / (4 beta).
+    """
+    rmax = r.max(axis=-1)
+    left, right = _affine_factors(y, r, (0.5 / beta, 0.25 / beta, -rmax / beta))
+    diag = (2.0 * r + ((r - 4.0 * rmax[..., None]) + r)) / (4.0 * beta)
+    return _Kernel(left, right, diag[None], _exp)
 
 
 def hv(sample: StandardizedSample, gamma: float) -> float:
@@ -157,20 +166,32 @@ def _hv(y: np.ndarray, gamma: float) -> np.ndarray:
     n, d = y.shape[-2:]
     r = np.einsum("...ij,...ij->...i", y, y)
     rmax = r.max(axis=-1)
-    coef = 1.0 / (4.0 * gamma * gamma) - 1.0 / (2.0 * gamma)
-
-    def kernel(g, rj, rk):
-        ssq = (rj - 4.0 * rmax[..., None])[..., :, None] + rk[..., None, :]
-        ssq += 2.0 * g  # ||Y_j + Y_k||^2 - 4 rmax
-        g += ssq * coef
-        g += (4.0 * rmax * coef + d / (2.0 * gamma))[..., None, None]
-        ssq /= 4.0 * gamma
-        np.exp(ssq, out=ssq)
-        ssq *= g
-        return ssq
-
-    scaled = (np.pi / gamma) ** (d / 2.0) / n * _pairwise_sum(y, r, kernel)
+    scaled = (np.pi / gamma) ** (d / 2.0) / n * _pairwise_sum(_hv_kernel(y, r, gamma))
     return scaled * np.exp(rmax / gamma)
+
+
+def _hv_kernel(y: np.ndarray, r: np.ndarray, gamma: float) -> _Kernel:
+    """Kernel exp(s / (4 gamma)) (Y_j.Y_k + coef s + 4 rmax coef + d / (2 gamma)), two affine blocks.
+
+    s = ||Y_j + Y_k||^2 - 4 rmax with rmax = max_j ||Y_j||^2 per slice, and
+    coef = 1/(4 gamma^2) - 1/(2 gamma); the prefactor's rmax terms cancel.
+    The diagonals are formed from s = ((r - 4 rmax) + r) + 2r.
+    """
+    d = y.shape[-1]
+    rmax = r.max(axis=-1)
+    coef = 1.0 / (4.0 * gamma * gamma) - 1.0 / (2.0 * gamma)
+    left, right = _affine_factors(
+        y, r, (0.5 / gamma, 0.25 / gamma, -rmax / gamma), (1.0 + 2.0 * coef, coef, d / (2.0 * gamma))
+    )
+    s = ((r - 4.0 * rmax[..., None]) + r) + 2.0 * r
+    prefactor = (r + s * coef) + (4.0 * rmax * coef + d / (2.0 * gamma))[..., None]
+
+    def finish(e):
+        k = np.exp(e[0], out=e[0])
+        k *= e[1]
+        return k
+
+    return _Kernel(left, right, np.stack([s / (4.0 * gamma), prefactor]), finish)
 
 
 def hv_inf(sample: StandardizedSample) -> float:

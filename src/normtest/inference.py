@@ -155,7 +155,7 @@ def p_aggregates(sample: StandardizedSample, a: float) -> np.ndarray:
     y = sample.residuals
     n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
-    er = _pairwise_apply(y, r, _gauss_kernel(a), np.column_stack([r, r[:, None] * y])) / n
+    er = _pairwise_apply(_gauss_kernel(y, r, a), np.column_stack([r, r[:, None] * y])) / n
     sum_re, sum_re_y = er[:, 0], er[:, 1:]
     cp1 = (np.pi / a) ** (d / 2.0)
     q1v = np.asarray(q1(y, a))

@@ -169,8 +169,6 @@ def _mt(rng, n, d, spec):
 def _nmix_factor(sigma, d: int) -> np.ndarray:
     """Cholesky factor, read-only, of the covariance of nmix's second component."""
     if isinstance(sigma, str):
-        if d == 1:
-            raise ValueError(f"nmix sigma={sigma} is a matrix, for d >= 2; give a variance at d = 1")
         cov = _MATRIX[sigma](d)
     else:
         cov = sigma * np.eye(d)
@@ -254,9 +252,16 @@ _TABLE = {
 
 
 def _check_dimension(spec: AlternativeSpec, d: int) -> None:
-    """Refuse a kind drawn at d = 1 only at any other d."""
+    """Refuse a kind drawn at d = 1 only at any other d, and nmix's matrix sigma at d = 1.
+
+    A base of prod or spherical is drawn at d = 1.
+    """
     if d != 1 and _TABLE[spec.kind].d_one:
         raise ValueError(f"{spec.kind} is univariate; use prod:{spec.label()} for d={d}")
+    if d == 1 and spec.kind == "nmix" and isinstance(spec.values[2], str):
+        raise ValueError(f"nmix sigma={spec.values[2]} is a matrix, for d >= 2; give a variance at d = 1")
+    if spec.base is not None:
+        _check_dimension(spec.base, 1)
 
 
 def sample(spec: AlternativeSpec, n: int, seed_or_rng, d: int = 1) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,9 +35,10 @@ from .standardize import StandardizedSample
 
 # Block edge of the pairwise kernel: working memory is O(_BLOCK^2 + nd) for
 # every statistic built on the Gram matrix.  Read at call time.  A 256 x 256
-# block (512 KB) stays in cache through the kernel's in-place passes; at
-# n = 2000 this is about twice as fast as one n x n pass.  The Monte Carlo
-# replications stack _BLOCK^2 // n^2 samples at a time under the same budget.
+# block (512 KB) stays in cache from the matmul that forms its exponent through
+# the kernel's exp and the product with V; at n = 2000 this is about twice as
+# fast as one n x n pass.  The Monte Carlo replications stack
+# _BLOCK^2 // n^2 samples at a time under the same budget.
 _BLOCK = 256
 
 
@@ -76,65 +78,105 @@ def scaling_factor(d: int, a: float) -> float:
     return d**-2.0 * (a / np.pi) ** (d / 2.0)
 
 
-def _pairwise_apply(y: np.ndarray, r: np.ndarray, kernel, v: np.ndarray) -> np.ndarray:
-    """K @ v for the symmetric K[j, k] = kernel(Y_j . Y_k, r_j, r_k), blockwise.
+class _Kernel(NamedTuple):
+    """The symmetric kernel matrix K = finish(E) of each slice of a stack, from f affine blocks.
 
-    ``y`` is (..., n, d), ``r`` (..., n) and ``v`` (..., n, p): leading axes
-    index a stack of samples, each with its own K.  ``kernel(g, rj, rk)`` maps
-    a block of Gram entries (rows j, columns k) to kernel values and may
-    overwrite ``g``.  Diagonal Gram entries are set to ``r`` exactly, so
-    self-distances vanish exactly for every kernel.  Off-diagonal blocks are
-    evaluated once and applied to both halves (j<k folding).  Every product
-    is a per-slice matmul, so each slice of a stack gets bit for bit the
-    values of a lone call on it.
+    Block m is E_m[j, k] = left[m, ..., j, :] . right[m, ..., k, :]: ``left``
+    and ``right`` are (f, ..., n, w) factors (``right`` may broadcast over f),
+    so each block of E costs one matmul of inner dimension w.  ``diag``
+    (f, ..., n) is the exact diagonal of each E_m.  ``finish`` maps the
+    (f, ..., rows, columns) blocks of E to kernel values and may overwrite
+    them.
     """
-    n, b = y.shape[-2], _BLOCK
+
+    left: np.ndarray
+    right: np.ndarray
+    diag: np.ndarray
+    finish: Callable[[np.ndarray], np.ndarray]
+
+
+def _pairwise_apply(kernel: _Kernel, v: np.ndarray) -> np.ndarray:
+    """K @ v for the symmetric K of a :class:`_Kernel`, blockwise.
+
+    ``v`` is (..., n, p): leading axes index a stack of samples, each with
+    its own K.  Each block of E is one matmul of the kernel's factors, and
+    ``kernel.finish`` makes it a block of K with no further pass over E.  On
+    the diagonal blocks the diagonal of E is set to ``kernel.diag`` exactly,
+    not computed: an exponent of exactly 0 makes self-distances vanish
+    exactly.  Off-diagonal blocks are evaluated once and applied to both
+    halves (j<k folding).  Every product is a per-slice matmul, so each slice
+    of a stack gets bit for bit the values of a lone call on it.
+    """
+    left, right, diag = kernel.left, kernel.right, kernel.diag
+    n, b = diag.shape[-1], _BLOCK
     out = np.zeros(v.shape)
     for i0 in range(0, n, b):
-        yi, ri, vi = y[..., i0 : i0 + b, :], r[..., i0 : i0 + b], v[..., i0 : i0 + b, :]
+        li, vi = left[..., i0 : i0 + b, :], v[..., i0 : i0 + b, :]
         for j0 in range(i0, n, b):
-            g = yi @ y[..., j0 : j0 + b, :].swapaxes(-1, -2)
+            e = li @ right[..., j0 : j0 + b, :].swapaxes(-1, -2)
             if j0 == i0:
-                diag = np.arange(g.shape[-1])
-                g[..., diag, diag] = ri
-            k = kernel(g, ri, r[..., j0 : j0 + b])
+                idx = np.arange(e.shape[-1])
+                e[..., idx, idx] = diag[..., i0 : i0 + b]
+            k = kernel.finish(e)
             out[..., i0 : i0 + b, :] += k @ v[..., j0 : j0 + b, :]
             if j0 > i0:
                 out[..., j0 : j0 + b, :] += k.swapaxes(-1, -2) @ vi
     return out
 
 
-def _pairwise_quad(y: np.ndarray, r: np.ndarray, kernel, v: np.ndarray) -> np.ndarray:
-    """v . (K v) per slice, for the kernel of :func:`_pairwise_apply` and a (..., n) ``v``."""
-    kv = _pairwise_apply(y, r, kernel, v[..., None])
+def _pairwise_quad(kernel: _Kernel, v: np.ndarray) -> np.ndarray:
+    """v . (K v) per slice, for a :class:`_Kernel` and a (..., n) ``v``."""
+    kv = _pairwise_apply(kernel, v[..., None])
     return (v[..., None, :] @ kv)[..., 0, 0]
 
 
-def _pairwise_sum(y: np.ndarray, r: np.ndarray, kernel) -> np.ndarray:
-    """sum_{j,k} K[j, k] per slice, for the kernel of :func:`_pairwise_apply`."""
-    ones = np.empty(r.shape)
+def _pairwise_sum(kernel: _Kernel) -> np.ndarray:
+    """sum_{j,k} K[j, k] per slice, for a :class:`_Kernel`."""
+    ones = np.empty(kernel.diag.shape[1:])
     ones.fill(1.0)  # cheaper than np.ones, whose fixed cost shows at small n
-    return _pairwise_quad(y, r, kernel, ones)
+    return _pairwise_quad(kernel, ones)
 
 
-def _gauss_kernel(a: float):
-    """Kernel exp(-||Y_j - Y_k||^2 / (4a)) of the Gram entries, in place."""
+def _affine_factors(y: np.ndarray, r: np.ndarray, *forms) -> tuple[np.ndarray, np.ndarray]:
+    """Factors (left, right) of the blocks E[j, k] = alpha Y_j.Y_k + beta (r_j + r_k) + kappa.
+
+    One block per (alpha, beta, kappa) of ``forms``; kappa is a scalar or a
+    (...,) array, one value per slice.  left is [alpha Y, beta r + kappa,
+    beta], (f, ..., n, d+2), and right is [Y, 1, r], (1, ..., n, d+2).
+    """
+    d = y.shape[-1]
+    left = np.empty((len(forms), *y.shape[:-1], d + 2))
+    for m, (alpha, beta, kappa) in enumerate(forms):
+        left[m, ..., :d] = alpha * y
+        left[m, ..., d] = beta * r + np.asarray(kappa)[..., None]
+        left[m, ..., d + 1] = beta
+    right = np.empty((1, *y.shape[:-1], d + 2))
+    right[0, ..., :d] = y
+    right[0, ..., d] = 1.0
+    right[0, ..., d + 1] = r
+    return left, right
+
+
+def _exp(e: np.ndarray) -> np.ndarray:
+    """exp of the one affine block, in place."""
+    return np.exp(e[0], out=e[0])
+
+
+def _gauss_kernel(y: np.ndarray, r: np.ndarray, a: float) -> _Kernel:
+    """Kernel exp(-||Y_j - Y_k||^2 / (4a)), its exponent exactly 0 on the diagonal.
+
+    The exponent is 2c Y_j.Y_k - c r_j - c r_k with c = 1/(4a).
+    """
     c = 1.0 / (4.0 * a)
-
-    def kernel(g, rj, rk):
-        g *= 2.0 * c
-        g -= (c * rj)[..., :, None]
-        g -= (c * rk)[..., None, :]
-        return np.exp(g, out=g)
-
-    return kernel
+    left, right = _affine_factors(y, r, (2.0 * c, -c, 0.0))
+    return _Kernel(left, right, np.zeros(left.shape[:-1]), _exp)
 
 
 def _t_value(y: np.ndarray, a: float) -> np.ndarray:
     """Raw statistic of each slice of a (..., n, d) residual stack (no validation)."""
     n, d = y.shape[-2:]
     r = np.einsum("...ij,...ij->...i", y, y)
-    quad = _pairwise_quad(y, r, _gauss_kernel(a), r)
+    quad = _pairwise_quad(_gauss_kernel(y, r, a), r)
     term1 = (np.pi / a) ** (d / 2.0) / n * quad
     term2 = (
         2.0
@@ -194,11 +236,13 @@ def mardia_skewness(sample: StandardizedSample) -> float:
 def _mardia_skewness(y: np.ndarray) -> np.ndarray:
     """:func:`mardia_skewness` of each slice of a (..., n, d) residual stack."""
 
-    def cube(g, rj, rk):
+    def cube(e):
+        g = e[0]
         g *= g * g
         return g
 
-    return _pairwise_sum(y, np.einsum("...ij,...ij->...i", y, y), cube) / y.shape[-2] ** 2
+    r = np.einsum("...ij,...ij->...i", y, y)
+    return _pairwise_sum(_Kernel(y[None], y[None], r[None], cube)) / y.shape[-2] ** 2
 
 
 def mardia_kurtosis(sample: StandardizedSample) -> float:

@@ -131,6 +131,20 @@ class TestCritTable:
             f"1,inf,1.0,0.05,{q!r},100000,0",
         ]
 
+    @pytest.mark.parametrize(
+        "flags,named", [(["--m", "1"], "--m"), (["--ell", "500"], "--ell"), (["--m", "50", "--ell", "500"], "--m or --ell")]
+    )
+    def test_limit_flags_refused_without_an_inf_row(self, capsys, flags, named):
+        args = ["crit-table", "--d", "1", "--n", "10", "--a", "1", "--reps", "100", "--workers", "1"]
+        assert main(args + flags) == 1
+        assert capsys.readouterr().err == f"error: nothing reads {named}: no --n inf row was asked for\n"
+
+    def test_inf_row_defaults_its_limit_flags(self, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha, config: configs.append(config) or 1.0)
+        assert main(["crit-table", "--d", "1", "--n", "inf", "--a", "1", "--format", "json"]) == 0
+        assert [(c.m, c.ell) for c in configs] == [(1000, 100_000)]
+
     def test_checkpoint_directory(self, tmp_path):
         out = tmp_path / "t.json"
         chk = tmp_path / "state"
@@ -394,10 +408,12 @@ _SECOND_A = "tuning parameter a must be a positive finite real, got -1.0"
         (["delta-ci", "--input", str(IRIS), "--header", "--a", "0.5", "--alpha", "2"], "alpha must be in (0, 1)"),
         (["validate", "--input", str(IRIS), "--header", "--a", "0.5", "--delta0", "-1"],
          "delta0 must be a positive finite real, got -1.0"),
+        (["power", "--alt", "nmix:p=0.1,sigma=I", "--d", "1", "--n", "20", "--a", "1", "--reps", "50",
+          "--crit-reps", "100", "--workers", "1"], "nmix sigma=I is a matrix, for d >= 2; give a variance at d = 1"),
     ],
     ids=["crit-table-second-a", "limit-quantile-second-a", "test-second-a", "power-univariate-competitor",
          "power-univariate-alternative", "crit-table-inf-m", "power-non-numeric-tuning", "delta-ci-alpha",
-         "validate-delta0"],
+         "validate-delta0", "power-nmix-matrix-sigma-at-d1"],
 )
 def test_late_input_refused_before_any_simulation(capsys, monkeypatch, argv, message):
     # stderr holds the error alone: no progress, critical-value or quantile line came before it

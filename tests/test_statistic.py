@@ -15,7 +15,7 @@ from normtest import (
     t_statistic_quadrature,
 )
 from normtest import statistic
-from normtest.competitors import bhep, hjg, hv
+from normtest.competitors import _bhep_kernel, _hjg_kernel, _hv_kernel, bhep, hjg, hv
 from normtest.inference import p_aggregates, sigma_hat_sq
 from conftest import make_rng
 
@@ -113,6 +113,53 @@ class TestClosedForm:
             assert scalars == pytest.approx(full_scalars, rel=1e-12)
             for got, want in zip(vectors, full_vectors):
                 np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+def _dense_kernel(kind: str, y: np.ndarray, t: float) -> np.ndarray:
+    """Kernel matrix of ``kind`` at tuning ``t`` from explicit pairwise differences and sums."""
+    r = np.sum(y * y, axis=1)
+    rmax = r.max()
+    dif = y[:, None, :] - y[None, :, :]
+    tot = y[:, None, :] + y[None, :, :]
+    dist = np.sum(dif * dif, axis=-1)  # ||Y_j - Y_k||^2
+    s = np.sum(tot * tot, axis=-1) - 4.0 * rmax  # ||Y_j + Y_k||^2 - 4 rmax
+    if kind == "t":
+        return np.exp(-dist / (4.0 * t))
+    if kind == "bhep":
+        return np.exp(-0.5 * t * t * dist)
+    if kind == "hjg":
+        return np.exp(s / (4.0 * t))
+    coef = 1.0 / (4.0 * t * t) - 1.0 / (2.0 * t)
+    g = np.sum(y[:, None, :] * y[None, :, :], axis=-1)
+    return np.exp(s / (4.0 * t)) * (g + coef * s + 4.0 * rmax * coef + y.shape[1] / (2.0 * t))
+
+
+KERNELS = {
+    "t": (statistic._gauss_kernel, (0.05, 1.0, 5.0)),
+    "bhep": (_bhep_kernel, (0.5, 1.0, 3.0)),
+    "hjg": (_hjg_kernel, (1.5, 3.0, 10.0)),
+    "hv": (_hv_kernel, (2.5, 5.0, 20.0)),
+}
+
+
+class TestKernelOracle:
+    """Every exponential kernel's blocks against the dense formula; n=300 is above the block edge."""
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_blocks_match_the_dense_formula(self, kind, d):
+        build, tunings = KERNELS[kind]
+        for n in (d + 1, 50, 300):
+            y = scaled_residuals(make_rng(8100 + 10 * d + n).standard_t(5, size=(n, d))).residuals
+            r = np.einsum("ij,ij->i", y, y)
+            for t in tunings:
+                got = statistic._pairwise_apply(build(y, r, t), np.eye(n))  # K @ I is K, entry by entry
+                want = _dense_kernel(kind, y, t)
+                # relative to the largest entry too: the exponent of a far pair
+                # carries a rounding error of order eps * (r_j + r_k) / (4a)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+                if kind in ("t", "bhep"):
+                    assert (np.diag(got) == 1.0).all()
 
 
 class TestLimits:
