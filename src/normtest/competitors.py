@@ -292,19 +292,21 @@ class _Kind(NamedTuple):
     seed_id: int  # enters every competitor cell's seed key: part of the reproducibility contract
     default: float | None  # tuning used when none is given
     bound: tuple[str, float] | None  # (name, strict lower bound) of the tuning; None: takes none
-    # One value per slice of a float (..., n, d) stack of raw samples, not validated.
+    # One value per slice of a float (..., n, d) stack, not validated: of its
+    # scaled residuals, or of the raw samples when ``raw`` is set.
     statistic: Callable[[np.ndarray, float | None], np.ndarray]
     univariate: bool = False  # defined at d = 1 only
+    raw: bool = False  # the statistic reads the raw samples, not the residuals
 
 
 # The one per-kind table: validation, defaults, seeds and dispatch all read it.
 _TABLE = {
-    "bhep": _Kind(10, 1.0, ("a", 0.0), lambda x, a: _bhep(_whiten(x)[0], a)),
-    "hjg": _Kind(11, 1.5, ("beta", 1.0), lambda x, beta: _hjg(_whiten(x)[0], beta)),
-    "hv": _Kind(12, 5.0, ("gamma", 2.0), lambda x, gamma: _hv(_whiten(x)[0], gamma)),
-    "hv_inf": _Kind(13, None, None, lambda x, _: _hv_inf(_whiten(x)[0])),
-    "bcmr": _Kind(14, None, None, lambda x, _: _bcmr(x), univariate=True),
-    "be": _Kind(15, 1.0, ("a", 0.0), lambda x, a: _be(_whiten(x)[0], a), univariate=True),
+    "bhep": _Kind(10, 1.0, ("a", 0.0), _bhep),
+    "hjg": _Kind(11, 1.5, ("beta", 1.0), _hjg),
+    "hv": _Kind(12, 5.0, ("gamma", 2.0), _hv),
+    "hv_inf": _Kind(13, None, None, lambda y, _: _hv_inf(y)),
+    "bcmr": _Kind(14, None, None, lambda x, _: _bcmr(x), univariate=True, raw=True),
+    "be": _Kind(15, 1.0, ("a", 0.0), _be, univariate=True),
 }
 KINDS = tuple(_TABLE)
 
@@ -315,6 +317,8 @@ def evaluate(spec: CompetitorSpec, data) -> float:
     A value that overflowed raises a ValueError, as in :func:`hjg`.
     """
     x = _whitenable(data)
+    row = _TABLE[spec.kind]
+    z = x if row.raw else _whiten(x)[0]
     with np.errstate(over="ignore"):
-        value = float(_TABLE[spec.kind].statistic(x, spec.tuning))
+        value = float(row.statistic(z, spec.tuning))
     return value if math.isfinite(value) else _finite(spec.kind, spec.tuning, _whiten(x)[0], value)

@@ -28,7 +28,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 from .quadrature import QuadratureSpec, UnsupportedDimension
-from .standardize import StandardizedSample
+from .standardize import StandardizedSample, check_not_simplex
 from .statistic import _gauss_kernel, _pairwise_apply, check_alpha, check_tuning
 
 
@@ -263,9 +263,14 @@ class DeltaEstimate:
 
 
 def delta_estimate(sample: StandardizedSample, a: float) -> DeltaEstimate:
-    """Estimate Delta_a by T/n together with the closed-form sigma estimate."""
+    """Estimate Delta_a by T/n together with the closed-form sigma estimate.
+
+    A sample of n = d+1 is refused (:func:`check_not_simplex`): its T is the
+    same for every such sample, so its sigma estimate is roundoff alone.
+    """
     from .statistic import t_statistic
 
+    check_not_simplex(sample.n, sample.d)
     a = check_tuning(a)
     stat = t_statistic(sample, a)
     return DeltaEstimate(

@@ -21,34 +21,12 @@ import numpy as np
 from . import parallel, statistic
 from .competitors import _TABLE, CompetitorSpec
 from .samplers import AlternativeSpec, _check_dimension, sample
-from .standardize import _whiten, check_sample_size
+from .standardize import _whiten, check_not_simplex, check_sample_size
 from .statistic import StatisticValue, _scaled_t, check_alpha, check_tuning, scaling_factor
 
 
 class KernelNotPSD(ValueError):
     """Kernel matrix is indefinite beyond what roundoff repair can explain."""
-
-
-def _h_func(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # Influence function of the limiting process under the null: the
-    # projection of one standardized observation onto frequency t.  Used only
-    # to cross-check the kernel by simulation.
-    x = np.atleast_2d(x)
-    d = x.shape[1]
-    t = np.asarray(t, dtype=float)
-    nx = np.einsum("ij,ij->i", x, x)
-    tx = x @ t
-    nt = float(t @ t)
-    pt = math.exp(-0.5 * nt)
-    mt = (d - nt) * pt
-    cs = np.cos(tx) + np.sin(tx)
-    return (
-        nx * cs
-        - (2.0 * pt + mt) * tx
-        - pt * nx
-        + (2.0 * pt + 0.5 * mt) * tx**2
-        - (pt + 0.5 * mt) * nt
-    )
 
 
 def kernel_K(s, t, d: int | None = None) -> float:
@@ -108,36 +86,45 @@ def expected_limit(d: int, a: float) -> float:
 _NULL = AlternativeSpec("std")
 
 
-def _rep(
-    rngs: Collection[np.random.Generator], alt: AlternativeSpec, n: int, d: int, column: float | CompetitorSpec
-) -> np.ndarray:
-    """Every Monte Carlo replication: ``column`` (T at a float ``a``, or a competitor)
-    on one draw from ``alt`` per generator, which is ``_NULL`` for a null distribution.
+Column = float | CompetitorSpec  # T at a float ``a``, or a competitor
 
-    Replication k draws from the k-th generator only, and its draw is made
+
+def _rep(
+    rngs: Collection[np.random.Generator], alt: AlternativeSpec, n: int, d: int, columns: tuple[Column, ...]
+) -> np.ndarray:
+    """Every Monte Carlo replication of a cell: the (k, C) block whose row i is
+    each of the C ``columns`` on one draw from ``alt`` with the i-th generator;
+    ``alt`` is ``_NULL`` for a null distribution.
+
+    Replication i draws from the i-th generator only, and its draw is made
     before the next generator is taken, as :func:`parallel.map_replications`
     requires.  The draws are stacked ``_BLOCK^2 // n^2`` at a time (at least
-    one), the pairwise kernel's memory budget, and each stack is whitened and
-    evaluated at once; every value is bit for bit that of the sample on its own.
+    one), the pairwise kernel's memory budget.  Each stack is whitened once,
+    and every column is evaluated on those residuals (bcmr on the raw draws),
+    so a column's values do not depend on the other columns, and each is bit
+    for bit that of the sample on its own.
     """
     block = max(1, statistic._BLOCK**2 // n**2)
-    out = np.empty(len(rngs))
+    out = np.empty((len(rngs), len(columns)))
     stream = iter(rngs)
     for lo in range(0, len(rngs), block):
         xs = np.stack([sample(alt, n, rng, d=d) for rng in itertools.islice(stream, block)])
-        if isinstance(column, CompetitorSpec):
-            out[lo : lo + block] = _TABLE[column.kind].statistic(xs, column.tuning)
-        else:
-            out[lo : lo + block] = _scaled_t(_whiten(xs)[0], column)
+        y = _whiten(xs)[0]
+        for c, column in enumerate(columns):
+            if isinstance(column, CompetitorSpec):
+                row = _TABLE[column.kind]
+                out[lo : lo + block, c] = row.statistic(xs if row.raw else y, column.tuning)
+            else:
+                out[lo : lo + block, c] = _scaled_t(y, column)
     return out
 
 
-def _check_cell(
-    d: int, n: float, column: float | CompetitorSpec, alt: AlternativeSpec = _NULL
-) -> float | CompetitorSpec:
-    """Check the cell ``column`` (T at ``a``, or a competitor) on n draws of ``alt`` in dimension d,
-    n = math.inf for the limit law; return the column, a float ``a`` normalised."""
+def _check_cell(d: int, n: float, column: Column, alt: AlternativeSpec = _NULL) -> Column:
+    """Check the cell ``column`` on n draws of ``alt`` in dimension d, n = math.inf
+    for the limit law; return the column, a float ``a`` normalised.  A finite n
+    must be at least d+2 (:func:`check_not_simplex`)."""
     check_sample_size(n, d)
+    check_not_simplex(n, d)
     _check_dimension(alt, d)
     if not isinstance(column, CompetitorSpec):
         return check_tuning(column)
@@ -147,12 +134,13 @@ def _check_cell(
 
 
 def _cell(
-    alt: AlternativeSpec, d: int, n: int, column: float | CompetitorSpec, replications: int, seed: int,
+    alt: AlternativeSpec, d: int, n: int, columns: tuple[Column, ...], replications: int, seed: int,
     *, workers: int | None = 1, checkpoint: str | None = None, progress: bool = False,
 ) -> np.ndarray:
-    """The one Monte Carlo run of a cell: replication i is ``column`` on a draw
-    from ``alt`` made with ``substream(seed, i)``, in replication order."""
-    args = (alt, n, d, _check_cell(d, n, column, alt))
+    """The one Monte Carlo run of a cell: the (replications, C) block whose row i
+    is every one of the C ``columns`` on the one draw from ``alt`` made with
+    ``substream(seed, i)``, in replication order."""
+    args = (alt, n, d, tuple(_check_cell(d, n, column, alt) for column in columns))
     return parallel.map_replications(
         _rep, replications, seed, args=args, workers=workers, checkpoint=checkpoint, progress=progress
     )
@@ -167,9 +155,8 @@ def mc_null_sample(
     Deterministic given ``seed``: replication i uses the substream derived
     from (seed, i), so values do not depend on the worker count.
     """
-    return np.sort(
-        _cell(_NULL, d, n, a, replications, seed, workers=workers, checkpoint=checkpoint, progress=progress)
-    )
+    vals = _cell(_NULL, d, n, (a,), replications, seed, workers=workers, checkpoint=checkpoint, progress=progress)
+    return np.sort(vals[:, 0])
 
 
 def critical_value(samples, alpha: float) -> float:

@@ -2,15 +2,15 @@
 
 Every random stream is ``substream(seed, *key)``.  A study cell derives its
 seed as ``derive_seed(master, purpose, *cell)``; replication i then draws from
-``substream(cell_seed, i)`` only, so the full vector of results is
+``substream(cell_seed, i)`` only, so the full array of results is
 bit-for-bit identical for any worker count, any chunking and any resume.
 The unit of work is a chunk of consecutive replications: one call of the
 replication function gets the chunk's substreams as a lazy sequence in index
-order, and returns one value per substream.  The sequence hands out one
-reused generator, reseeded per replication, so the function must consume
-item k before it takes item k+1 and keep no reference to it.  Its seeds are
-hashed from numpy's own ``SeedSequence(seed).pool`` for the whole chunk at
-once.  One gather loop serves every worker count: it maps the chunks with the
+order, and returns one row of values per substream, as one array.  The
+sequence hands out one reused generator, reseeded per replication, so the
+function must consume item k before it takes item k+1 and keep no reference
+to it.  Its seeds are hashed from numpy's own ``SeedSequence(seed).pool`` for
+the whole chunk at once.  One gather loop serves every worker count: it maps the chunks with the
 builtin ``map`` on one worker and with ``ProcessPoolExecutor.map`` on a pool,
 both of which yield in replication order, so results, progress and
 checkpoints always cover a prefix.  The engine names each checkpoint file
@@ -201,8 +201,10 @@ def map_replications(
 
     ``fn(rngs, *args)`` gets the substreams of one chunk of consecutive
     replications, as a lazy sequence in index order (``len(rngs)`` is the
-    chunk size), and returns one float per substream; value k must depend on
-    the k-th substream only.  The sequence reuses one generator, so ``fn``
+    chunk size), and returns an array of one row per substream, a float or
+    a row of C floats; row k must depend on the k-th substream only.  The
+    rows are gathered, and checkpointed, as one (replications,) or
+    (replications, C) array.  The sequence reuses one generator, so ``fn``
     must consume item k before it takes item k+1 and keep no reference to
     it.  ``fn`` must be a picklable module-level callable.
     With ``checkpoint`` (a directory) set, the completed prefix is persisted
@@ -213,7 +215,7 @@ def map_replications(
     if replications < 1:
         raise ValueError("replications must be >= 1")
     nworkers = resolve_workers(workers)
-    out = np.empty(replications)
+    out = None  # allocated from the first rows, whose shape it takes
     start = 0
     if checkpoint:
         os.makedirs(checkpoint, exist_ok=True)
@@ -221,6 +223,7 @@ def map_replications(
         prev = _load_checkpoint(path, meta)
         if prev is not None:
             start = min(len(prev), replications)
+            out = np.empty((replications, *prev.shape[1:]))
             out[:start] = prev[:start]
             if progress and start:
                 print(f"resumed {start}/{replications} replications", file=sys.stderr)
@@ -239,6 +242,8 @@ def map_replications(
         # Both maps yield in replication order: checkpoints always cover a prefix.
         results = map(run, los, his) if pool is None else pool.map(run, los, his)
         for lo, hi, values in zip(los, his, results):
+            if out is None:
+                out = np.empty((replications, *np.shape(values)[1:]))
             out[lo:hi] = values
             if progress:
                 print(f"\r{hi}/{replications} replications", end="", file=sys.stderr, flush=True)

@@ -149,6 +149,17 @@ def check_sample_size(n: float, d: int) -> None:
         raise ValueError(f"need at least d+1={d + 1} observations, got n={n}")
 
 
+def check_not_simplex(n: float, d: int) -> None:
+    """Refuse n = d+1, where every sample standardizes to the vertices of one
+    regular simplex, up to rotation: every affine invariant statistic is then
+    constant, and its simulated law or variance estimate is roundoff alone."""
+    if n == d + 1:
+        raise ValueError(
+            f"n={n} observations in dimension d={d} standardize to the same points up to rotation, "
+            f"so every statistic is constant: need n >= d+2={d + 2}"
+        )
+
+
 def _whitenable(data) -> np.ndarray:
     """:func:`as_data_matrix` plus :func:`check_sample_size`."""
     x = as_data_matrix(data)

@@ -299,6 +299,23 @@ def test_unread_flag_refused(tmp_path, capsys, command, flag):
     assert exc.value.code == 2 and f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["test", "crit-table", "power", "delta-ci", "validate"])
+def test_simplex_sample_refused(tmp_path, capsys, command):
+    # 3 rows in d = 2 standardize to the same triangle, up to rotation, whatever the data
+    data = _write_normal_csv(tmp_path / "x.csv", n=3, d=2)
+    argv = {"test": ["--input", data, "--a", "1.0", "--reps", "200", "--workers", "1"],
+            "crit-table": ["--d", "2", "--n", "3", "--a", "1.0", "--reps", "200", "--workers", "1"],
+            "power": ["--alt", "std", "--d", "2", "--n", "3", "--a", "1.0", "--competitor", "bhep",
+                      "--reps", "50", "--crit-reps", "100", "--workers", "1"],
+            "delta-ci": ["--input", data, "--a", "0.5"],
+            "validate": ["--input", data, "--a", "0.5", "--delta0", "0.1"]}[command]
+    code = main([command, *argv])
+    assert code == 1 and capsys.readouterr().err == (
+        "error: n=3 observations in dimension d=2 standardize to the same points up to rotation, "
+        "so every statistic is constant: need n >= d+2=4\n"
+    )
+
+
 class TestDeltaCi:
     def test_json_round_trip(self, tmp_path, capsys):
         data = _write_normal_csv(tmp_path / "x.csv", n=80, d=1, seed=9)

@@ -119,7 +119,8 @@ class TestOutlier:
         # path a finite value or a ValueError
         x = _outlier_data(3000)
         with np.errstate(over="ignore"):
-            stacked = [_TABLE[kind].statistic(x[None], t)[0] for kind, t in (("hjg", 1.5), ("hv", 5.0))]
+            y = scaled_residuals(x).residuals[None]
+            stacked = [_TABLE[kind].statistic(y, t)[0] for kind, t in (("hjg", 1.5), ("hv", 5.0))]
             assert stacked[0] == math.inf
             assert 0.0 < stacked[1] < math.inf
             assert hv(scaled_residuals(x), 5.0) > 0.0

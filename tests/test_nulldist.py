@@ -24,8 +24,30 @@ from normtest import evaluate, nulldist, parallel, power
 from normtest.cli import _render_rows
 from normtest.competitors import KINDS, parse_competitor
 from normtest.samplers import parse_spec, sample
-from normtest.nulldist import KernelNotPSD, _h_func, _kernel_matrix
+from normtest.nulldist import KernelNotPSD, _kernel_matrix
 from conftest import make_rng
+
+
+def _h_func(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # Influence function of the limiting process under the null: the
+    # projection of one standardized observation onto frequency t, whose
+    # covariance over observations is the kernel K.
+    x = np.atleast_2d(x)
+    d = x.shape[1]
+    t = np.asarray(t, dtype=float)
+    nx = np.einsum("ij,ij->i", x, x)
+    tx = x @ t
+    nt = float(t @ t)
+    pt = math.exp(-0.5 * nt)
+    mt = (d - nt) * pt
+    cs = np.cos(tx) + np.sin(tx)
+    return (
+        nx * cs
+        - (2.0 * pt + mt) * tx
+        - pt * nx
+        + (2.0 * pt + 0.5 * mt) * tx**2
+        - (pt + 0.5 * mt) * nt
+    )
 
 
 class TestKernel:
@@ -151,7 +173,7 @@ class TestBlockEngine:
         for text in BLOCK_ALTS:
             alt = parse_spec(text.replace("sigma=I", "sigma=1") if d == 1 else text)
             for column in [1.5, *map(CompetitorSpec, kinds)]:
-                got = nulldist._rep([parallel.substream(17, i) for i in range(reps)], alt, n, d, column)
+                got = nulldist._rep([parallel.substream(17, i) for i in range(reps)], alt, n, d, (column,))[:, 0]
                 want = []
                 for i in range(reps):
                     x = sample(alt, n, parallel.substream(17, i), d=d)
@@ -178,7 +200,7 @@ class TestBlockEngine:
         for key, want in frozen.items():
             column = key if isinstance(key, float) else parse_competitor(key)
             rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 2, 50, column), i) for i in range(30)]
-            assert nulldist._rep(rngs, alt, 50, 2, column)[[3, 17, 25, 26]].tolist() == want, key
+            assert nulldist._rep(rngs, alt, 50, 2, (column,))[[3, 17, 25, 26], 0].tolist() == want, key
 
     def test_frozen_univariate_values(self):
         # Values of bcmr and be when they ran one sample at a time.  At n=20 a
@@ -194,21 +216,21 @@ class TestBlockEngine:
         for key, want in frozen.items():
             column = parse_competitor(key)
             rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 1, 20, column), i) for i in range(200)]
-            assert nulldist._rep(rngs, alt, 20, 1, column)[[3, 17, 162, 163]].tolist() == want, key
+            assert nulldist._rep(rngs, alt, 20, 1, (column,))[[3, 17, 162, 163], 0].tolist() == want, key
         column = parse_competitor("bcmr")
         rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 1, 20, column), i) for i in range(697)]
-        assert nulldist._rep(rngs, alt, 20, 1, column)[696] == -0.8893435535587935
+        assert nulldist._rep(rngs, alt, 20, 1, (column,))[696, 0] == -0.8893435535587935
 
     def test_worker_count_invariance(self):
         # chunks of 137 replications on one worker and of 68 on two: chunk
         # edges cut the blocks of 26 in different places
-        args = (parse_spec("mt:nu=5"), 50, 2, CompetitorSpec("hjg"))
+        args = (parse_spec("mt:nu=5"), 50, 2, (CompetitorSpec("hjg"),))
         one = parallel.map_replications(nulldist._rep, 1100, 8, args=args, workers=1)
         two = parallel.map_replications(nulldist._rep, 1100, 8, args=args, workers=2)
         np.testing.assert_array_equal(one, two)
 
     def test_resume_inside_a_block(self, tmp_path):
-        args = (nulldist._NULL, 50, 2, 1.5)
+        args = (nulldist._NULL, 50, 2, (1.5,))
         full = parallel.map_replications(nulldist._rep, 100, 3, args=args, workers=1)
         path, meta = parallel._checkpoint_file(nulldist._rep, args, 100, 3, str(tmp_path))
         parallel._save_checkpoint(path, meta, full[:40])  # 40 ends inside the second block of 26
@@ -216,6 +238,35 @@ class TestBlockEngine:
             nulldist._rep, 100, 3, args=args, workers=1, checkpoint=str(tmp_path)
         )
         np.testing.assert_array_equal(resumed, full)
+
+    MULTI = (parse_spec("mt:nu=5"), 50, 2, (1.5, CompetitorSpec("hjg"), 0.5, CompetitorSpec("bhep", 0.5)))
+
+    def test_columns_equal_one_column_cells(self):
+        block = nulldist._rep([parallel.substream(5, i) for i in range(60)], *self.MULTI)
+        assert block.shape == (60, 4)
+        alt, n, d, columns = self.MULTI
+        for c, column in enumerate(columns):
+            alone = nulldist._rep([parallel.substream(5, i) for i in range(60)], alt, n, d, (column,))
+            np.testing.assert_array_equal(block[:, c], alone[:, 0])
+
+    def test_multi_column_worker_count_invariance(self):
+        # chunks of 75 replications on one worker and of 64 on two
+        one = parallel.map_replications(nulldist._rep, 600, 8, args=self.MULTI, workers=1)
+        two = parallel.map_replications(nulldist._rep, 600, 8, args=self.MULTI, workers=2)
+        assert one.shape == (600, 4)
+        np.testing.assert_array_equal(one, two)
+
+    def test_multi_column_resume_inside_a_block(self, tmp_path):
+        full = parallel.map_replications(nulldist._rep, 100, 3, args=self.MULTI, workers=1)
+        path, meta = parallel._checkpoint_file(nulldist._rep, self.MULTI, 100, 3, str(tmp_path))
+        # 40 ends inside the second block of 26; a marked prefix shows that it is reused
+        parallel._save_checkpoint(path, meta, np.full((40, 4), -1.0))
+        resumed = parallel.map_replications(
+            nulldist._rep, 100, 3, args=self.MULTI, workers=1, checkpoint=str(tmp_path)
+        )
+        assert resumed.shape == (100, 4) and (resumed[:40] == -1.0).all()
+        np.testing.assert_array_equal(resumed[40:], full[40:])
+        np.testing.assert_array_equal(parallel._load_checkpoint(path, meta), resumed)
 
     def test_memory_within_the_kernel_budget(self):
         # blocks of 2 samples at n=150; a stack of a whole chunk of 250 would

@@ -76,7 +76,7 @@ class TestBatchedStreams:
 
     def test_rep_equals_on_a_list(self):
         # n = 50 stacks 26 draws at a time: blocks of 26, 26 and 8
-        args = (parse_spec("mt:nu=5"), 50, 2, 1.0)
+        args = (parse_spec("mt:nu=5"), 50, 2, (1.0,))
         lazy = nulldist._rep(parallel._streams(41, 5, 65), *args)
         listed = nulldist._rep([parallel.substream(41, i) for i in range(5, 65)], *args)
         np.testing.assert_array_equal(lazy, listed)
@@ -112,8 +112,9 @@ class TestSeedingContract:
 
 
 class TestPowerSeedLayout:
-    """Frozen power_matrix rows: they pin the (CRIT|ALT, d, n, a) and
-    (CRIT|ALT, d, n, kind id, tuning) cell keys of every power column."""
+    """Frozen power_matrix rows: they pin the (CRIT, d, n, a) and
+    (CRIT, d, n, kind id, tuning) keys of every critical value and the
+    (ALT, d, n) key of every power row, shared by its columns."""
 
     def test_multivariate_columns(self):
         alts = [parse_spec(s) for s in ("std", "mt:nu=5", "nmix:p=0.1,mu=3,sigma=I", "prod:uniform")]
@@ -121,10 +122,11 @@ class TestPowerSeedLayout:
         columns, rows = power.power_matrix(alts, 2, 20, [0.5, 2.0], comps, 0.05, 60, 11, crit_replications=120)
         assert columns == ["t:0.5", "t:2", "bhep:0.5", "hv:5", "hjg:1.5", "hv_inf"]
         assert rows == [
-            [11.666666666666666, 1.6666666666666667, 1.6666666666666667, 0.0, 3.3333333333333335, 6.666666666666667],
-            [50.0, 36.666666666666664, 26.666666666666668, 20.0, 36.666666666666664, 20.0],
-            [38.333333333333336, 40.0, 50.0, 21.666666666666668, 33.33333333333333, 31.666666666666664],
-            [1.6666666666666667, 0.0, 1.6666666666666667, 0.0, 0.0, 0.0],
+            [5.0, 5.0, 1.6666666666666667, 1.6666666666666667, 3.3333333333333335, 0.0],
+            [36.666666666666664, 38.333333333333336, 23.333333333333332, 16.666666666666664, 28.333333333333332,
+             11.666666666666666],
+            [30.0, 41.66666666666667, 33.33333333333333, 18.333333333333332, 21.666666666666668, 15.0],
+            [0.0, 1.6666666666666667, 0.0, 0.0, 1.6666666666666667, 0.0],
         ]
 
     def test_univariate_columns(self):
@@ -132,7 +134,50 @@ class TestPowerSeedLayout:
         comps = [parse_competitor(s) for s in ("bcmr", "be")]
         columns, rows = power.power_matrix(alts, 1, 15, [1.0], comps, 0.05, 40, 5, crit_replications=80)
         assert columns == ["t:1", "bcmr", "be:1"]
-        assert rows == [[10.0, 0.0, 10.0], [55.00000000000001, 42.5, 42.5], [7.5, 7.5, 2.5]]
+        assert rows == [[7.5, 5.0, 7.5], [40.0, 27.500000000000004, 37.5], [5.0, 7.5, 5.0]]
+
+
+class TestPowerRow:
+    """A power row is one cell: every column on the draws of the row key."""
+
+    ALTS = ("mt:nu=5", "nmix:p=0.1,mu=3,sigma=I")
+    A = [0.5, 2.0]
+    COMPS = ("bhep:0.5", "hv:5", "hjg:1.5", "hvinf")
+
+    def _matrix(self, a_list, comps):
+        alts = [parse_spec(s) for s in self.ALTS]
+        return power.power_matrix(alts, 2, 20, a_list, [parse_competitor(c) for c in comps], 0.05, 60, 11,
+                                  crit_replications=120)[1]
+
+    def test_columns_equal_the_single_column_functions(self):
+        rows = self._matrix(self.A, self.COMPS)
+        for alt, row in zip(self.ALTS, rows):
+            alt = parse_spec(alt)
+            want = []
+            for a in self.A:
+                crit = power.t_critical_value(2, 20, a, 0.05, 120, 11)
+                want.append(100.0 * power.t_power(alt, 2, 20, a, crit, 60, 11))
+            for text in self.COMPS:
+                comp = parse_competitor(text)
+                crit = power.competitor_critical_value(comp, 2, 20, 0.05, 120, 11)
+                want.append(100.0 * power.competitor_power(alt, comp, 2, 20, crit, 60, 11))
+            assert row == want
+
+    def test_dropping_a_column_leaves_the_others(self):
+        rows = self._matrix(self.A, self.COMPS)
+        kept = [c for c in range(len(self.A) + len(self.COMPS)) if c not in (0, 3)]  # t:0.5 and hv:5 go
+        dropped = self._matrix(self.A[1:], self.COMPS[:1] + self.COMPS[2:])
+        assert dropped == [[row[c] for c in kept] for row in rows]
+
+    def test_univariate_row_equals_the_single_column_functions(self):
+        alt = parse_spec("t:nu=3")
+        comps = [parse_competitor(c) for c in ("bcmr", "be", "hvinf")]
+        _, rows = power.power_matrix([alt], 1, 15, [1.0], comps, 0.05, 40, 5, crit_replications=80)
+        want = [100.0 * power.t_power(alt, 1, 15, 1.0, power.t_critical_value(1, 15, 1.0, 0.05, 80, 5), 40, 5)]
+        for comp in comps:
+            crit = power.competitor_critical_value(comp, 1, 15, 0.05, 80, 5)
+            want.append(100.0 * power.competitor_power(alt, comp, 1, 15, crit, 40, 5))
+        assert rows == [want]
 
 
 class TestPowerCellCheck:

@@ -196,7 +196,7 @@ class TestOneWhitening:
         for i in range(20):
             draw = parallel.substream(321, i).standard_normal((n, d))
             public = t_statistic(scaled_residuals(draw), 1.5).scaled
-            assert nulldist._rep([parallel.substream(321, i)], parse_spec("std"), n, d, 1.5)[0] == public
+            assert nulldist._rep([parallel.substream(321, i)], parse_spec("std"), n, d, (1.5,))[0, 0] == public
 
     @pytest.mark.parametrize("comp", ["bhep:0.5", "hv:5", "hjg:1.5"])
     def test_competitor_replication_matches_evaluate(self, comp):
@@ -204,7 +204,7 @@ class TestOneWhitening:
         for alt in (parse_spec("std"), parse_spec("mt:nu=5")):
             for i in range(4):
                 draw = sample(alt, 50, parallel.substream(7, i), d=2)
-                got = nulldist._rep([parallel.substream(7, i)], alt, 50, 2, spec)[0]
+                got = nulldist._rep([parallel.substream(7, i)], alt, 50, 2, (spec,))[0, 0]
                 assert got == evaluate(spec, draw)
 
     def test_eigh_only_in_standardize(self):
