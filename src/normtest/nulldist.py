@@ -88,6 +88,13 @@ _NULL = AlternativeSpec("std")
 
 Column = float | CompetitorSpec  # T at a float ``a``, or a competitor
 
+# Draw budget of one Monte Carlo stack, in doubles: 64 KB of draws, so a stack
+# holds max(1, _DRAWS // (n d)) samples, and the pairwise kernel evaluates it
+# in sub-stacks under its own _BLOCK^2 budget.  At twice this budget a stack's
+# temporaries outgrew glibc's heap trim threshold, and every stack faulted its
+# memory in afresh (23 000 page faults in 10^4 replications at n=50, d=4).
+_DRAWS = statistic._BLOCK**2 // 8
+
 
 def _rep(
     rngs: Collection[np.random.Generator], alt: AlternativeSpec, n: int, d: int, columns: tuple[Column, ...]
@@ -98,24 +105,26 @@ def _rep(
 
     Replication i draws from the i-th generator only, and its draw is made
     before the next generator is taken, as :func:`parallel.map_replications`
-    requires.  The draws are stacked ``_BLOCK^2 // n^2`` at a time (at least
-    one), the pairwise kernel's memory budget.  Each stack is whitened once,
-    and every column is evaluated on those residuals (bcmr on the raw draws),
-    so a column's values do not depend on the other columns, and each is bit
-    for bit that of the sample on its own.
+    requires.  The draws are stacked ``_DRAWS // (n d)`` at a time (at least
+    one), a budget in the size of the draws; the pairwise kernel splits a
+    stack further under its own n^2 budget.  Each stack is whitened once if
+    some column reads the residuals, and every column is evaluated on them
+    (bcmr on the raw draws), so a column's values do not depend on the other
+    columns, and each is bit for bit that of the sample on its own.
     """
-    block = max(1, statistic._BLOCK**2 // n**2)
+    block = max(1, _DRAWS // (n * d))
+    rows = [_TABLE[column.kind] if isinstance(column, CompetitorSpec) else None for column in columns]
+    whiten = any(row is None or not row.raw for row in rows)
     out = np.empty((len(rngs), len(columns)))
     stream = iter(rngs)
     for lo in range(0, len(rngs), block):
         xs = np.stack([sample(alt, n, rng, d=d) for rng in itertools.islice(stream, block)])
-        y = _whiten(xs)[0]
-        for c, column in enumerate(columns):
-            if isinstance(column, CompetitorSpec):
-                row = _TABLE[column.kind]
-                out[lo : lo + block, c] = row.statistic(xs if row.raw else y, column.tuning)
-            else:
+        y = _whiten(xs)[0] if whiten else None
+        for c, (column, row) in enumerate(zip(columns, rows)):
+            if row is None:
                 out[lo : lo + block, c] = _scaled_t(y, column)
+            else:
+                out[lo : lo + block, c] = row.statistic(xs if row.raw else y, column.tuning)
     return out
 
 

@@ -37,8 +37,10 @@ from .standardize import StandardizedSample
 # every statistic built on the Gram matrix.  Read at call time.  A 256 x 256
 # block (512 KB) stays in cache from the matmul that forms its exponent through
 # the kernel's exp and the product with V; at n = 2000 this is about twice as
-# fast as one n x n pass.  The Monte Carlo replications stack
-# _BLOCK^2 // n^2 samples at a time under the same budget.
+# fast as one n x n pass.  A stack of samples is evaluated in sub-stacks of
+# _BLOCK^2 // min(n, _BLOCK)^2 under the same budget (_pairwise_apply), so the
+# budget holds whatever stack a caller hands in; the Monte Carlo engine sizes
+# its stacks of draws by their own n·d budget (nulldist._DRAWS).
 _BLOCK = 256
 
 
@@ -104,23 +106,33 @@ def _pairwise_apply(kernel: _Kernel, v: np.ndarray) -> np.ndarray:
     the diagonal blocks the diagonal of E is set to ``kernel.diag`` exactly,
     not computed: an exponent of exactly 0 makes self-distances vanish
     exactly.  Off-diagonal blocks are evaluated once and applied to both
-    halves (j<k folding).  Every product is a per-slice matmul, so each slice
-    of a stack gets bit for bit the values of a lone call on it.
+    halves (j<k folding).  A stack is evaluated in consecutive sub-stacks
+    along its first axis, ``_BLOCK^2 // min(n, _BLOCK)^2`` slices each, so
+    the blocks of one sub-stack hold at most _BLOCK^2 kernel values whatever
+    stack the caller hands in.  Every product is a per-slice matmul, so each
+    slice of a stack gets bit for bit the values of a lone call on it.
     """
-    left, right, diag = kernel.left, kernel.right, kernel.diag
-    n, b = diag.shape[-1], _BLOCK
+    n, b = kernel.diag.shape[-1], _BLOCK
     out = np.zeros(v.shape)
-    for i0 in range(0, n, b):
-        li, vi = left[..., i0 : i0 + b, :], v[..., i0 : i0 + b, :]
-        for j0 in range(i0, n, b):
-            e = li @ right[..., j0 : j0 + b, :].swapaxes(-1, -2)
-            if j0 == i0:
-                idx = np.arange(e.shape[-1])
-                e[..., idx, idx] = diag[..., i0 : i0 + b]
-            k = kernel.finish(e)
-            out[..., i0 : i0 + b, :] += k @ v[..., j0 : j0 + b, :]
-            if j0 > i0:
-                out[..., j0 : j0 + b, :] += k.swapaxes(-1, -2) @ vi
+    if v.ndim < 3:
+        subs = [...]
+    else:
+        step = b**2 // min(n, b) ** 2
+        subs = [slice(lo, lo + step) for lo in range(0, v.shape[0], step)]
+    for s in subs:
+        left, right, diag, vs, acc = kernel.left[:, s], kernel.right[:, s], kernel.diag[:, s], v[s], out[s]
+        for i0 in range(0, n, b):
+            li, vi = left[..., i0 : i0 + b, :], vs[..., i0 : i0 + b, :]
+            for j0 in range(i0, n, b):
+                e = li @ right[..., j0 : j0 + b, :].swapaxes(-1, -2)
+                if j0 == i0:
+                    idx = np.arange(e.shape[-1])
+                    e[..., idx, idx] = diag[..., i0 : i0 + b]
+                k = kernel.finish(e)
+                acc[..., i0 : i0 + b, :] += k @ vs[..., j0 : j0 + b, :]
+                if j0 > i0:
+                    acc[..., j0 : j0 + b, :] += k.swapaxes(-1, -2) @ vi
+                del e, k  # one block alive at a time, so malloc reuses its memory
     return out
 
 
@@ -235,14 +247,19 @@ def mardia_skewness(sample: StandardizedSample) -> float:
 
 def _mardia_skewness(y: np.ndarray) -> np.ndarray:
     """:func:`mardia_skewness` of each slice of a (..., n, d) residual stack."""
+    r = np.einsum("...ij,...ij->...i", y, y)
+    return _pairwise_sum(_mardia_kernel(y, r)) / y.shape[-2] ** 2
+
+
+def _mardia_kernel(y: np.ndarray, r: np.ndarray) -> _Kernel:
+    """Kernel (Y_j.Y_k)^3: the plain Gram block, cubed in place; r is its diagonal."""
 
     def cube(e):
         g = e[0]
         g *= g * g
         return g
 
-    r = np.einsum("...ij,...ij->...i", y, y)
-    return _pairwise_sum(_Kernel(y[None], y[None], r[None], cube)) / y.shape[-2] ** 2
+    return _Kernel(y[None], y[None], r[None], cube)
 
 
 def mardia_kurtosis(sample: StandardizedSample) -> float:

@@ -159,9 +159,14 @@ class TestMcNullSample:
 
 
 BLOCK_ALTS = ("std", "mt:nu=5", "nmix:p=0.1,mu=3,sigma=I", "prod:uniform")  # sigma=1 at d=1
-# (d, n, replications): blocks of 26 at n=50 and of 2 at n=150 end inside
-# the run; n=300 is above the kernel's block edge, so it runs in blocks of 1
-BLOCK_CASES = [(d, n, reps) for d in (1, 2) for n, reps in ((d + 1, 23), (20, 23), (50, 30), (150, 5), (300, 3))]
+# (d, n, replications): the kernel's sub-stacks of 26 at n=50 and of 2 at
+# n=150 end inside the run; n=300 is above the kernel's block edge, so it is
+# evaluated one sample at a time.  The last five cases also cross a stack of
+# draws, 64 KB of them: 409 samples at (1, 20), 81 at (2, 50), 27 at (2, 150)
+# and (1, 300), 13 at (2, 300).
+BLOCK_CASES = [(d, n, reps) for d in (1, 2) for n, reps in ((d + 1, 23), (20, 23), (50, 30), (150, 5), (300, 3))] + [
+    (1, 20, 411), (2, 50, 83), (2, 150, 29), (1, 300, 29), (2, 300, 15)
+]
 
 
 class TestBlockEngine:
@@ -185,45 +190,71 @@ class TestBlockEngine:
 
     def test_frozen_values(self):
         # Values of the one-replication-at-a-time engine.  Replicates 25 | 26
-        # straddle the first block edge; an einsum in place of a matmul moves
-        # bits here, and so does np.exp in place of libm's exp (hjg at 3, 17).
-        # Elementwise passes in place of the exponent's one matmul of augmented
-        # factors move hjg at 25, 26 and all of hv, by at most 4.5e-15 relative.
+        # straddle the kernel's first sub-stack edge, and 80 | 81 the first
+        # stack of draws; an einsum in place of a matmul moves bits here, and
+        # so does np.exp in place of libm's exp (hjg at 3, 17).  Elementwise
+        # passes in place of the exponent's one matmul of augmented factors
+        # move hjg at 25, 26 and all of hv, by at most 4.5e-15 relative.
         frozen = {
-            1.5: [0.31683206647021006, 0.747433631578281, 2.0812224224390237, 1.3862436997784089],
-            "bhep:0.5": [0.00021438130180895243, 0.0031663836421828018, 0.014347070799164086, 0.0034231863474651902],
-            "hjg:1.5": [37.36260893518643, 3.6602722706452493, 43.45613615016334, 15.653370591021087],
-            "hv:5": [3.1764893018087417, 4.224836953753199, 3.128691752252492, 67.3186272441447],
-            "hvinf": [8.163189505025656, 3.1924164788716176, 0.7901640876435057, 17.346721801878836],
+            1.5: [
+                0.31683206647021006, 0.747433631578281, 2.0812224224390237, 1.3862436997784089,
+                1.7948244052392197, 1.6051932066878913,
+            ],
+            "bhep:0.5": [
+                0.00021438130180895243, 0.0031663836421828018, 0.014347070799164086, 0.0034231863474651902,
+                0.001867054123867562, 0.0012671420812280232,
+            ],
+            "hjg:1.5": [
+                37.36260893518643, 3.6602722706452493, 43.45613615016334, 15.653370591021087,
+                76.90440831242321, 128.38649409427262,
+            ],
+            "hv:5": [
+                3.1764893018087417, 4.224836953753199, 3.128691752252492, 67.3186272441447,
+                0.6076219937245235, 9.347613599999788,
+            ],
+            "hvinf": [
+                8.163189505025656, 3.1924164788716176, 0.7901640876435057, 17.346721801878836,
+                4.607826690087478, 1.6245506901808375,
+            ],
         }
         alt = parse_spec("mt:nu=5")
         for key, want in frozen.items():
             column = key if isinstance(key, float) else parse_competitor(key)
-            rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 2, 50, column), i) for i in range(30)]
-            assert nulldist._rep(rngs, alt, 50, 2, (column,))[[3, 17, 25, 26], 0].tolist() == want, key
+            rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 2, 50, column), i) for i in range(82)]
+            assert nulldist._rep(rngs, alt, 50, 2, (column,))[[3, 17, 25, 26, 80, 81], 0].tolist() == want, key
 
     def test_frozen_univariate_values(self):
         # Values of bcmr and be when they ran one sample at a time.  At n=20 a
-        # stack holds 163 samples, so replicates 162 | 163 straddle its edge; a
+        # stack of draws holds 409 samples, so replicates 408 | 409 straddle
+        # its edge, and 162 | 163 the former edge of a stack of 163; a
         # stacked matrix-vector product in place of bcmr's per-sample dot moves
         # bits here, and numpy's square in place of Python's ** 2 at replicate 696.
         frozen = {
-            "bcmr": [-0.27465598732915875, -0.9953412251098925, 2.3063631481978755, 0.5868559657783734],
-            "be:1": [1.206451253867078, 0.11807667766852115, 0.9066851158326514, 2.011575092683028],
-            "be:0.3": [0.06954465680476107, 0.37610680307556793, 0.04761100646114014, 0.28896876919702824],
+            "bcmr": [
+                -0.27465598732915875, -0.9953412251098925, 2.3063631481978755, 0.5868559657783734,
+                -0.7937329800296278, -1.2916526382510762,
+            ],
+            "be:1": [
+                1.206451253867078, 0.11807667766852115, 0.9066851158326514, 2.011575092683028,
+                2.0223464216439746, 0.16941353610317145,
+            ],
+            "be:0.3": [
+                0.06954465680476107, 0.37610680307556793, 0.04761100646114014, 0.28896876919702824,
+                0.925862092100677, 0.06726437991679324,
+            ],
         }
         alt = parse_spec("t:nu=3")
         for key, want in frozen.items():
             column = parse_competitor(key)
-            rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 1, 20, column), i) for i in range(200)]
-            assert nulldist._rep(rngs, alt, 20, 1, (column,))[[3, 17, 162, 163], 0].tolist() == want, key
+            rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 1, 20, column), i) for i in range(410)]
+            assert nulldist._rep(rngs, alt, 20, 1, (column,))[[3, 17, 162, 163, 408, 409], 0].tolist() == want, key
         column = parse_competitor("bcmr")
         rngs = [parallel.substream(power._cell_seed(4242, parallel.ALT, 1, 20, column), i) for i in range(697)]
         assert nulldist._rep(rngs, alt, 20, 1, (column,))[696, 0] == -0.8893435535587935
 
     def test_worker_count_invariance(self):
         # chunks of 137 replications on one worker and of 68 on two: chunk
-        # edges cut the blocks of 26 in different places
+        # edges cut the stacks of 81 draws in different places
         args = (parse_spec("mt:nu=5"), 50, 2, (CompetitorSpec("hjg"),))
         one = parallel.map_replications(nulldist._rep, 1100, 8, args=args, workers=1)
         two = parallel.map_replications(nulldist._rep, 1100, 8, args=args, workers=2)
@@ -233,7 +264,7 @@ class TestBlockEngine:
         args = (nulldist._NULL, 50, 2, (1.5,))
         full = parallel.map_replications(nulldist._rep, 100, 3, args=args, workers=1)
         path, meta = parallel._checkpoint_file(nulldist._rep, args, 100, 3, str(tmp_path))
-        parallel._save_checkpoint(path, meta, full[:40])  # 40 ends inside the second block of 26
+        parallel._save_checkpoint(path, meta, full[:40])  # 40 ends inside the first stack of 81 draws
         resumed = parallel.map_replications(
             nulldist._rep, 100, 3, args=args, workers=1, checkpoint=str(tmp_path)
         )
@@ -259,7 +290,7 @@ class TestBlockEngine:
     def test_multi_column_resume_inside_a_block(self, tmp_path):
         full = parallel.map_replications(nulldist._rep, 100, 3, args=self.MULTI, workers=1)
         path, meta = parallel._checkpoint_file(nulldist._rep, self.MULTI, 100, 3, str(tmp_path))
-        # 40 ends inside the second block of 26; a marked prefix shows that it is reused
+        # 40 ends inside the first stack of 81 draws; a marked prefix shows that it is reused
         parallel._save_checkpoint(path, meta, np.full((40, 4), -1.0))
         resumed = parallel.map_replications(
             nulldist._rep, 100, 3, args=self.MULTI, workers=1, checkpoint=str(tmp_path)
@@ -269,8 +300,9 @@ class TestBlockEngine:
         np.testing.assert_array_equal(parallel._load_checkpoint(path, meta), resumed)
 
     def test_memory_within_the_kernel_budget(self):
-        # blocks of 2 samples at n=150; a stack of a whole chunk of 250 would
-        # hold 250 * 150^2 * 8 B = 45 MB of Gram matrices
+        # stacks of 13 draws at n=150, d=4, their kernel evaluated 2 samples at
+        # a time; a stack of a whole chunk of 250 would hold
+        # 250 * 150^2 * 8 B = 45 MB of Gram matrices
         mc_null_sample(4, 150, 1.0, 20, 1)
         tracemalloc.start()
         try:
@@ -279,6 +311,20 @@ class TestBlockEngine:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("n,d", [(20, 2), (150, 4), (600, 3)])
+    def test_memory_of_one_chunk(self, n, d):
+        # one chunk of 1000 replications: stacks of 204, 13 and 4 draws, whose
+        # kernel runs in sub-stacks of 163, 2 and 1 samples; a kernel that took
+        # a whole stack of draws at once would hold 2.3 MB at n=150
+        nulldist._rep(parallel._streams(3, 0, 10), nulldist._NULL, n, d, (1.0,))
+        tracemalloc.start()
+        try:
+            nulldist._rep(parallel._streams(3, 0, 1000), nulldist._NULL, n, d, (1.0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestCriticalValue:

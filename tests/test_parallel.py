@@ -75,10 +75,10 @@ class TestBatchedStreams:
         assert got == [_draws(parallel.substream(seed, i)) for i in range(lo, hi)]
 
     def test_rep_equals_on_a_list(self):
-        # n = 50 stacks 26 draws at a time: blocks of 26, 26 and 8
+        # n = 50, d = 2 stacks 81 draws at a time: stacks of 81 and 9
         args = (parse_spec("mt:nu=5"), 50, 2, (1.0,))
-        lazy = nulldist._rep(parallel._streams(41, 5, 65), *args)
-        listed = nulldist._rep([parallel.substream(41, i) for i in range(5, 65)], *args)
+        lazy = nulldist._rep(parallel._streams(41, 5, 95), *args)
+        listed = nulldist._rep([parallel.substream(41, i) for i in range(5, 95)], *args)
         np.testing.assert_array_equal(lazy, listed)
 
     def test_negative_seed_refused(self):

@@ -17,6 +17,7 @@ from normtest import (
 from normtest import statistic
 from normtest.competitors import _bhep_kernel, _hjg_kernel, _hv_kernel, bhep, hjg, hv
 from normtest.inference import p_aggregates, sigma_hat_sq
+from normtest.standardize import _whiten
 from conftest import make_rng
 
 # Closed form at Y = {-1, +1}, a = 1, frozen from the quadrature oracle
@@ -160,6 +161,24 @@ class TestKernelOracle:
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
                 if kind in ("t", "bhep"):
                     assert (np.diag(got) == 1.0).all()
+
+
+class TestSubStacks:
+    """A stack longer than the kernel's budget is evaluated in sub-stacks, each slice as if alone."""
+
+    @pytest.mark.parametrize("kind", [*sorted(KERNELS), "mardia"])
+    @pytest.mark.parametrize("n,k", [(50, 30), (150, 5), (300, 3)])  # sub-stacks of 26, 2 and 1
+    def test_stack_equals_lone_slices(self, kind, n, k):
+        assert k > statistic._BLOCK**2 // min(n, statistic._BLOCK) ** 2
+        build, tunings = KERNELS.get(kind, (lambda y, r, t: statistic._mardia_kernel(y, r), (None,)))
+        rng = make_rng(8400 + n)
+        y = _whiten(rng.standard_t(5, size=(k, n, 2)))[0]
+        r = np.einsum("...ij,...ij->...i", y, y)
+        v = rng.normal(size=(k, n, 3))
+        for t in tunings:
+            got = statistic._pairwise_apply(build(y, r, t), v)
+            for i in range(k):
+                np.testing.assert_array_equal(got[i], statistic._pairwise_apply(build(y[i], r[i], t), v[i]))
 
 
 class TestLimits:
