@@ -102,11 +102,10 @@ def cmd_test(args) -> int:
     _check_run_config(args)
     data = load_csv(args.input, delimiter=args.delimiter, header=args.header)
     sample = scaled_residuals(data)
-    for a in args.a:
-        _check_cell(sample.d, sample.n, a)
+    # every statistic before the first simulation, so any refusal comes first
+    stats = [t_statistic(sample, _check_cell(sample.d, sample.n, a)) for a in args.a]
     rows = []
-    for a in args.a:
-        stat = t_statistic(sample, a)
+    for a, stat in zip(args.a, stats):
         _progress(f"simulating null for a={a:g} ({args.reps} replications)")
         null = mc_null_sample(
             sample.d, sample.n, a, args.reps, args.seed, workers=args.workers, progress=True,

@@ -68,7 +68,7 @@ def parse_competitor(text: str) -> CompetitorSpec:
 
 def bhep(sample: StandardizedSample, a: float) -> float:
     """ECF-based statistic with Gaussian smoothing parameter a > 0."""
-    return float(_bhep(sample.residuals, _check_tuning("bhep", a)))
+    return _value("bhep", _check_tuning("bhep", a), sample.residuals)
 
 
 def _bhep(y: np.ndarray, a: float) -> np.ndarray:
@@ -97,22 +97,6 @@ def _bhep_kernel(y: np.ndarray, r: np.ndarray, a: float) -> _Kernel:
     return _Kernel(left, right, np.zeros(left.shape[:-1]), finish)
 
 
-def _finite(kind: str, tuning: float | None, y: np.ndarray, value) -> float:
-    """A public competitor value on residuals ``y``; one that overflowed raises instead.
-
-    Inside Monte Carlo loops the stacked statistics skip this check, and +inf
-    there is a correct rejection.
-    """
-    value = float(value)
-    if not math.isfinite(value):
-        rmax = float(np.einsum("ij,ij->i", y, y).max())
-        raise ValueError(
-            f"{CompetitorSpec(kind, tuning).label()} is {value} at n={len(y)}: "
-            f"max ||Y_j||^2 = {rmax:.6g} overflows its exponential weight"
-        )
-    return value
-
-
 def hjg(sample: StandardizedSample, beta: float) -> float:
     """MGF-distance statistic; beta > 1 keeps all three terms finite.
 
@@ -120,10 +104,7 @@ def hjg(sample: StandardizedSample, beta: float) -> float:
     every exponent, so an outlier cannot give inf - inf; a value too large for
     a float raises a ValueError.
     """
-    y = sample.residuals
-    with np.errstate(over="ignore"):  # an overflow raises in _finite, without a warning first
-        value = _hjg(y, _check_tuning("hjg", beta))
-    return _finite("hjg", beta, y, value)
+    return _value("hjg", _check_tuning("hjg", beta), sample.residuals)
 
 
 def _hjg(y: np.ndarray, beta: float) -> np.ndarray:
@@ -155,10 +136,7 @@ def _hjg_kernel(y: np.ndarray, r: np.ndarray, beta: float) -> _Kernel:
 
 def hv(sample: StandardizedSample, gamma: float) -> float:
     """MGF differential-characterization statistic; gamma > 2; scaled and checked as in :func:`hjg`."""
-    y = sample.residuals
-    with np.errstate(over="ignore"):
-        value = _hv(y, _check_tuning("hv", gamma))
-    return _finite("hv", gamma, y, value)
+    return _value("hv", _check_tuning("hv", gamma), sample.residuals)
 
 
 def _hv(y: np.ndarray, gamma: float) -> np.ndarray:
@@ -196,7 +174,7 @@ def _hv_kernel(y: np.ndarray, r: np.ndarray, gamma: float) -> _Kernel:
 
 def hv_inf(sample: StandardizedSample) -> float:
     """Skewness combination 2 b_1 + 3 b~_1, the gamma -> infinity limit of hv."""
-    return float(_hv_inf(sample.residuals))
+    return _value("hv_inf", None, sample.residuals)
 
 
 def _hv_inf(y: np.ndarray) -> np.ndarray:
@@ -206,11 +184,6 @@ def _hv_inf(y: np.ndarray) -> np.ndarray:
 
 def _phi(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _univariate(kind: str, x: np.ndarray) -> None:
-    if x.shape[-1] != 1:
-        raise ValueError(f"{kind} is univariate")
 
 
 def bcmr(data) -> float:
@@ -224,7 +197,7 @@ def bcmr(data) -> float:
     A sample with d > 1, fewer than 2 observations or one value only raises a
     ValueError.  Monte Carlo replications run the same code on whole stacks.
     """
-    return float(_bcmr(_whitenable(data)))
+    return _value("bcmr", None, _whitenable(data))
 
 
 @functools.lru_cache
@@ -246,7 +219,6 @@ def _bcmr_weights(n: int) -> tuple[np.ndarray, float]:
 
 def _bcmr(x: np.ndarray) -> np.ndarray:
     """:func:`bcmr` of each slice of a (..., n, 1) stack of raw samples."""
-    _univariate("bcmr", x)
     xs = np.sort(x[..., 0], axis=-1)
     n = xs.shape[-1]
     s2 = np.var(xs, axis=-1)  # divisor n, matching the residual scaling
@@ -267,12 +239,11 @@ def be(sample: StandardizedSample, a: float) -> float:
     sample with d > 1 raises a ValueError.  Monte Carlo replications run the
     same code on whole stacks.
     """
-    return float(_be(sample.residuals, _check_tuning("be", a)))
+    return _value("be", _check_tuning("be", a), sample.residuals)
 
 
 def _be(y: np.ndarray, a: float) -> np.ndarray:
     """:func:`be` of each slice of a (..., n, 1) residual stack."""
-    _univariate("be", y)
     y = np.sort(y[..., 0], axis=-1)
     n = y.shape[-1]
     ysq = y * y
@@ -311,14 +282,31 @@ _TABLE = {
 KINDS = tuple(_TABLE)
 
 
-def evaluate(spec: CompetitorSpec, data) -> float:
-    """Evaluate a competitor on a raw data matrix (standardizing as needed).
+def _value(kind: str, tuning: float | None, z: np.ndarray) -> float:
+    """The one public evaluator: competitor ``kind`` at a checked ``tuning`` on one
+    (n, d) sample ``z``, its scaled residuals or, for a ``raw`` kind, its observations.
 
-    A value that overflowed raises a ValueError, as in :func:`hjg`.
+    A univariate kind at d > 1 and a value that is not finite raise a
+    ValueError, the latter with no numpy warning first.  Monte Carlo stacks
+    call the table's statistic without these checks: their cell check has
+    refused a univariate kind at d > 1, and +inf there, a statistic too large
+    for a float, is a correct rejection.
     """
+    row = _TABLE[kind]
+    if row.univariate and z.shape[-1] != 1:
+        raise ValueError(f"{kind} is univariate")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(row.statistic(z, tuning))
+    if not math.isfinite(value):
+        rmax = float(np.einsum("ij,ij->i", z, z).max())
+        raise ValueError(
+            f"{CompetitorSpec(kind, tuning).label()} is {value} at n={len(z)}: "
+            f"max ||Y_j||^2 = {rmax:.6g} overflows its exponential weight"
+        )
+    return value
+
+
+def evaluate(spec: CompetitorSpec, data) -> float:
+    """Evaluate a competitor on a raw data matrix (standardizing as needed), as its public function does."""
     x = _whitenable(data)
-    row = _TABLE[spec.kind]
-    z = x if row.raw else _whiten(x)[0]
-    with np.errstate(over="ignore"):
-        value = float(row.statistic(z, spec.tuning))
-    return value if math.isfinite(value) else _finite(spec.kind, spec.tuning, _whiten(x)[0], value)
+    return _value(spec.kind, spec.tuning, x if _TABLE[spec.kind].raw else _whiten(x)[0])

@@ -266,16 +266,25 @@ def delta_estimate(sample: StandardizedSample, a: float) -> DeltaEstimate:
     """Estimate Delta_a by T/n together with the closed-form sigma estimate.
 
     A sample of n = d+1 is refused (:func:`check_not_simplex`): its T is the
-    same for every such sample, so its sigma estimate is roundoff alone.
+    same for every such sample, so its sigma estimate is roundoff alone.  An
+    ``a`` refused by :func:`check_range`, or one at which T or sigma_hat^2
+    leaves the float range on this sample, raises a ValueError.
     """
     from .statistic import t_statistic
 
     check_not_simplex(sample.n, sample.d)
-    a = check_tuning(a)
-    stat = t_statistic(sample, a)
+    stat = t_statistic(sample, a)  # a checked by check_range
+    a = stat.a
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            sigma_sq = sigma_hat_sq(sample, a)
+        except OverflowError:  # q2's (2a+1)^{d/2+3}, one power above T's
+            sigma_sq = math.inf
+    if not math.isfinite(sigma_sq):
+        raise ValueError(f"a={a:g} takes sigma_hat^2 out of the float range at n={sample.n}, d={sample.d}")
     return DeltaEstimate(
         delta_hat=stat.value / sample.n,
-        sigma_hat=math.sqrt(sigma_hat_sq(sample, a)),
+        sigma_hat=math.sqrt(sigma_sq),
         n=sample.n,
         d=sample.d,
         a=a,

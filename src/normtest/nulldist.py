@@ -20,9 +20,9 @@ import numpy as np
 
 from . import parallel, statistic
 from .competitors import _TABLE, CompetitorSpec
-from .samplers import AlternativeSpec, _check_dimension, sample
+from .samplers import AlternativeSpec, _check_dimension, _draw
 from .standardize import _whiten, check_not_simplex, check_sample_size
-from .statistic import StatisticValue, _scaled_t, check_alpha, check_tuning, scaling_factor
+from .statistic import StatisticValue, _scaled_t, check_alpha, check_range, check_tuning, scaling_factor
 
 
 class KernelNotPSD(ValueError):
@@ -110,7 +110,9 @@ def _rep(
     stack further under its own n^2 budget.  Each stack is whitened once if
     some column reads the residuals, and every column is evaluated on them
     (bcmr on the raw draws), so a column's values do not depend on the other
-    columns, and each is bit for bit that of the sample on its own.
+    columns, and each is bit for bit that of the sample on its own.  The
+    draws skip ``samplers.sample``'s checks: :func:`_check_cell` made them
+    once for the cell.
     """
     block = max(1, _DRAWS // (n * d))
     rows = [_TABLE[column.kind] if isinstance(column, CompetitorSpec) else None for column in columns]
@@ -118,7 +120,7 @@ def _rep(
     out = np.empty((len(rngs), len(columns)))
     stream = iter(rngs)
     for lo in range(0, len(rngs), block):
-        xs = np.stack([sample(alt, n, rng, d=d) for rng in itertools.islice(stream, block)])
+        xs = np.stack([_draw(alt, rng, n, d) for rng in itertools.islice(stream, block)])
         y = _whiten(xs)[0] if whiten else None
         for c, (column, row) in enumerate(zip(columns, rows)):
             if row is None:
@@ -131,12 +133,13 @@ def _rep(
 def _check_cell(d: int, n: float, column: Column, alt: AlternativeSpec = _NULL) -> Column:
     """Check the cell ``column`` on n draws of ``alt`` in dimension d, n = math.inf
     for the limit law; return the column, a float ``a`` normalised.  A finite n
-    must be at least d+2 (:func:`check_not_simplex`)."""
+    must be at least d+2 (:func:`check_not_simplex`), and at finite n an ``a``
+    must keep T's constants in the float range (:func:`check_range`)."""
     check_sample_size(n, d)
     check_not_simplex(n, d)
     _check_dimension(alt, d)
     if not isinstance(column, CompetitorSpec):
-        return check_tuning(column)
+        return check_tuning(column) if math.isinf(n) else check_range(d, column)
     if d > 1 and _TABLE[column.kind].univariate:
         raise ValueError(f"{column.kind} is univariate")
     return column
@@ -169,11 +172,17 @@ def mc_null_sample(
 
 
 def critical_value(samples, alpha: float) -> float:
-    """Empirical (1-alpha) quantile: the ceil((1-alpha) N)-th order statistic."""
+    """Empirical (1-alpha) quantile: the ceil((1-alpha) N)-th order statistic.
+
+    A sample holding a nan, a replicate whose statistic failed, is refused.
+    """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("empty sample")
     check_alpha(alpha)
+    failed = int(np.isnan(x).sum())
+    if failed:
+        raise ValueError(f"{failed} of {x.size} replicates are nan; a critical value needs all of them")
     x = np.sort(x)
     k = math.ceil((1.0 - alpha) * x.size)
     return float(x[max(k, 1) - 1])

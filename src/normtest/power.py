@@ -106,29 +106,27 @@ def power_matrix(
     A study with no column, an invalid cell or no critical-value replication
     is refused before any simulation.
     """
-    if not a_list and not competitors:
+    cells = (*a_list, *competitors)
+    if not cells:
         raise ValueError("a power study needs at least one column: an a or a competitor")
     for alt in [_NULL, *alternatives]:
-        for column in [*a_list, *competitors]:
+        for column in cells:
             _check_cell(d, n, column, alt)
     crit_reps = replications if crit_replications is None else crit_replications
     if crit_reps < 1:
         raise ValueError(f"critical-value replications must be >= 1, got {crit_reps}")
     columns = [f"t:{a:g}" for a in a_list] + [c.label() for c in competitors]
-    t_crit = {}
-    for a in a_list:
-        t_crit[a] = t_critical_value(d, n, a, alpha, crit_reps, seed, workers=workers)
+    crits = []
+    for column, label in zip(cells, columns):
+        if isinstance(column, CompetitorSpec):
+            crits.append(competitor_critical_value(column, d, n, alpha, crit_reps, seed, workers=workers))
+        else:
+            crits.append(t_critical_value(d, n, column, alpha, crit_reps, seed, workers=workers))
         if progress:
-            progress(f"critical value t:{a:g} = {t_crit[a]:.4f}")
-    c_crit = {}
-    for comp in competitors:
-        c_crit[comp] = competitor_critical_value(comp, d, n, alpha, crit_reps, seed, workers=workers)
-        if progress:
-            progress(f"critical value {comp.label()} = {c_crit[comp]:.4f}")
-    crits = [t_crit[a] for a in a_list] + [c_crit[comp] for comp in competitors]
+            progress(f"critical value {label} = {crits[-1]:.4f}")
     rows = []
     for alt in alternatives:
-        block = _power_row(alt, d, n, (*a_list, *competitors), replications, seed, workers=workers)
+        block = _power_row(alt, d, n, cells, replications, seed, workers=workers)
         rows.append([100.0 * _rate(block[:, c], crit) for c, crit in enumerate(crits)])
         if progress:
             progress(f"done {alt.label()}")

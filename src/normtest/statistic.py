@@ -52,6 +52,25 @@ def check_tuning(a: float) -> float:
     return a
 
 
+def check_range(d: int, a: float) -> float:
+    """Validate ``a`` as :func:`check_tuning` does, and refuse one at which T's
+    constants at dimension d leave the float range.
+
+    (pi/a)^{d/2} is the largest of them at small a, (2a+1)^{d/2+2} at large a
+    and 2 (2 pi)^{d/2} at large d; every other constant of :func:`_t_value`
+    and :func:`scaling_factor` is smaller than one of these, so ``a`` is
+    refused exactly where T's arithmetic overflows before it reads the sample.
+    """
+    a = check_tuning(a)
+    try:
+        largest = ((np.pi / a) ** (d / 2.0), (2.0 * a + 1.0) ** (d / 2.0 + 2.0), 2.0 * (2.0 * np.pi) ** (d / 2.0))
+    except OverflowError:  # Python's float ** raises where the result leaves the float range
+        largest = (math.inf,)
+    if not all(map(math.isfinite, largest)):
+        raise ValueError(f"a={a:g} takes the constants of T out of the float range at d={d}")
+    return a
+
+
 def check_alpha(alpha: float) -> float:
     """Validate a significance level alpha in (0, 1)."""
     alpha = float(alpha)
@@ -214,12 +233,16 @@ def t_statistic(sample: StandardizedSample, a: float) -> StatisticValue:
 
     The statistic is nonnegative (it is a squared weighted L2 norm); tiny
     negative values from cancellation at extreme ``a`` are not clipped so
-    that the algebraic limit checks remain meaningful.
+    that the algebraic limit checks remain meaningful.  An ``a`` refused by
+    :func:`check_range`, or a value too large for a float, raises a ValueError.
     """
-    a = check_tuning(a)
     y = sample.residuals
     n, d = y.shape
-    value = float(_t_value(y, a))
+    a = check_range(d, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(_t_value(y, a))
+    if not math.isfinite(value):
+        raise ValueError(f"T is {value} at n={n}, d={d}, a={a:g}: too large for a float")
     return StatisticValue(value=value, scaled=scaling_factor(d, a) * value, n=n, d=d, a=a)
 
 

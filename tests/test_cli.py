@@ -439,6 +439,51 @@ def test_late_input_refused_before_any_simulation(capsys, monkeypatch, argv, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _setosa(tmp_path):
+    """The 50 setosa rows of the iris data (d = 4), with the header."""
+    path = tmp_path / "setosa.csv"
+    path.write_text("".join(IRIS.read_text().splitlines(keepends=True)[:51]))
+    return str(path)
+
+
+_T_RANGE = "takes the constants of T out of the float range at d=4"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["test", "--a", "1e100", "--reps", "50", "--workers", "1"], f"a=1e+100 {_T_RANGE}"),
+        (["test", "--a", "1e-200", "--reps", "50", "--workers", "1"], f"a=1e-200 {_T_RANGE}"),
+        (["test", "--a", "1e-100", "--a", "1e-200", "--reps", "50", "--workers", "1"], f"a=1e-200 {_T_RANGE}"),
+        (["crit-table", "--d", "4", "--n", "20", "--a", "1e100", "--reps", "50", "--workers", "1"],
+         f"a=1e+100 {_T_RANGE}"),
+        (["power", "--d", "4", "--n", "20", "--alt", "std", "--a", "1", "--a", "1e100", "--reps", "50",
+          "--workers", "1"], f"a=1e+100 {_T_RANGE}"),
+        (["delta-ci", "--a", "1e-100"], "a=1e-100 takes sigma_hat^2 out of the float range at n=50, d=4"),
+        (["validate", "--a", "1e62", "--delta0", "0.1"],
+         "a=1e+62 takes sigma_hat^2 out of the float range at n=50, d=4"),
+    ],
+    ids=["test-large-a", "test-small-a", "test-second-a", "crit-table", "power-second-a", "delta-ci", "validate"],
+)
+def test_out_of_range_tuning_refused_before_any_simulation(tmp_path, capsys, argv, message):
+    # one error line and no output: no traceback, no progress line, no inf
+    if argv[0] in ("test", "delta-ci", "validate"):
+        argv = [argv[0], "--input", _setosa(tmp_path), "--header", *argv[1:]]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# numpy warns as it computes the nan replicates; the error line comes last
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_tuning_out_of_range_in_a_competitor_gives_no_power(capsys):
+    # bhep:1e160 is nan on every replicate: its critical value is refused, not a 0% power
+    code = main(["power", "--alt", "std", "--d", "2", "--n", "20", "--competitor", "bhep:1e160", "--reps", "50",
+                 "--workers", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: 50 of 50 replicates are nan; a critical value needs all of them"
+
+
 def test_checkpoint_rerun_in_a_fresh_process_resumes(tmp_path):
     data = _write_normal_csv(tmp_path / "x.csv", n=10, d=1)
     chk = tmp_path / "state"

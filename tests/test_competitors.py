@@ -20,7 +20,7 @@ from normtest import (
     mrs_skewness,
     scaled_residuals,
 )
-from normtest.competitors import _TABLE, parse_competitor
+from normtest.competitors import _TABLE, KINDS, parse_competitor
 from conftest import make_rng, random_invertible
 
 TWO_POINT = StandardizedSample.from_residuals([[-1.0], [1.0]])
@@ -151,6 +151,46 @@ class TestOutlier:
                 with pytest.raises(ValueError, match="overflows"):
                     call()
             assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+
+
+# each public function on raw data x, at tuning t (None for a kind that takes none)
+PUBLIC = {
+    "bhep": lambda x, t: bhep(scaled_residuals(x), t),
+    "hjg": lambda x, t: hjg(scaled_residuals(x), t),
+    "hv": lambda x, t: hv(scaled_residuals(x), t),
+    "hv_inf": lambda x, t: hv_inf(scaled_residuals(x)),
+    "bcmr": lambda x, t: bcmr(x),
+    "be": lambda x, t: be(scaled_residuals(x), t),
+}
+
+
+class TestOneEvaluator:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_public_function_equals_evaluate(self, kind):
+        x = make_rng(31).normal(size=(30, 1 if _TABLE[kind].univariate else 2))
+        spec = CompetitorSpec(kind)
+        assert PUBLIC[kind](x, spec.tuning) == evaluate(spec, x)
+
+    def test_non_finite_bhep_raises_as_evaluate_does(self):
+        # a^2 = 1e320 leaves the float range and every term of bhep is nan
+        x = make_rng(32).normal(size=(25, 2))
+        errors = []
+        for call in (lambda: bhep(scaled_residuals(x), 1e160), lambda: evaluate(CompetitorSpec("bhep", 1e160), x)):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match=r"^bhep:1e\+160 is nan at n=25") as err:
+                    call()
+            assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("kind", ["bcmr", "be"])
+    def test_univariate_kind_refused_at_d2_on_both_paths(self, kind):
+        x = make_rng(33).normal(size=(30, 2))
+        spec = CompetitorSpec(kind)
+        for call in (lambda: PUBLIC[kind](x, spec.tuning), lambda: evaluate(spec, x)):
+            with pytest.raises(ValueError, match=f"^{kind} is univariate$"):
+                call()
 
 
 class TestHvInf:

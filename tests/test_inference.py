@@ -576,3 +576,11 @@ class TestDeltaEstimate:
         assert est.delta_hat == pytest.approx(t_statistic(sample, 0.5).value / 30, rel=1e-12)
         assert est.sigma_hat >= 0.0
         assert not est.clipped
+
+    @pytest.mark.parametrize("a", [1e-100, 1e62])
+    def test_sigma_out_of_the_float_range_refused(self, a):
+        # T's constants are finite at both; sigma_hat^2's squares are not (at 1e62 a power in q2 overflows)
+        sample = _sample(64, n=50, d=4)
+        assert np.isfinite(t_statistic(sample, a).value)
+        with pytest.raises(ValueError, match=r"takes sigma_hat\^2 out of the float range at n=50, d=4"):
+            delta_estimate(sample, a)

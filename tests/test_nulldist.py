@@ -341,6 +341,15 @@ class TestCriticalValue:
         with pytest.raises(ValueError):
             critical_value([], 0.1)
 
+    def test_failed_replicates_refused_and_counted(self):
+        data = np.arange(1.0, 11.0)
+        data[[2, 7]] = np.nan
+        with pytest.raises(ValueError, match="^2 of 10 replicates are nan"):
+            critical_value(data, 0.1)
+        # +inf is a replicate too large for a float, a rejection; it is kept
+        data[[2, 7]] = np.inf
+        assert critical_value(data, 0.1) == np.inf
+
     def test_alpha_domain(self):
         for alpha in (0.0, 1.0, np.nan):
             with pytest.raises(ValueError, match=re.escape("alpha must be in (0, 1)")):
@@ -520,14 +529,21 @@ class TestReferenceQuantiles:
 
     def test_full_sweep_and_monotonicity(self):
         # 100k-replication quantiles within +-0.02 of the reference table,
-        # decreasing in a for every (d, n)
-        got = {}
-        for (d, n, a), expect in TABLE1.items():
+        # decreasing in a for every (d, n).  The cells that share (d, n) and
+        # seed share their draws: one cell with a column per a, whose columns
+        # are bit for bit the cells' own null samples.
+        groups = {}
+        for d, n, a in TABLE1:
             seed = self.SEED_OVERRIDES.get((d, n, a), 1000 + 7 * d + n)
-            vals = mc_null_sample(d, n, a, 100_000, seed=seed, workers=2)
-            q = critical_value(vals, 0.05)
-            got[(d, n, a)] = q
-            assert q == pytest.approx(expect, abs=0.02), (d, n, a)
+            groups.setdefault((d, n, seed), []).append(a)
+        assert len(groups) == 9
+        got = {}
+        for (d, n, seed), a_list in groups.items():
+            vals = nulldist._cell(nulldist._NULL, d, n, tuple(a_list), 100_000, seed, workers=2)
+            for a, column in zip(a_list, vals.T):
+                q = critical_value(column, 0.05)
+                got[(d, n, a)] = q
+                assert q == pytest.approx(TABLE1[(d, n, a)], abs=0.02), (d, n, a)
         for d in (1, 2, 3, 5):
             for n in (20, 50):
                 qs = [got[(d, n, a)] for a in (0.5, 1.0, 3.0)]

@@ -201,6 +201,61 @@ class TestLimits:
         assert gaps[2] < 1e-3 * (2.0 * 1e6 * d**2)
 
 
+def _t_arithmetic_overflows(d, a):
+    """Whether T's arithmetic at (d, a) leaves the float range on a sample whose every residual is 0,
+    so that only its constants can: each term is then a constant times 0, or one constant."""
+    with np.errstate(all="ignore"):
+        try:
+            value = float(statistic._scaled_t(np.zeros((2, d)), a))
+        except OverflowError:
+            return True
+    return not np.isfinite(value)
+
+
+def _edge(d, lo, hi):
+    """The two adjacent floats in (lo, hi) at which _t_arithmetic_overflows(d, .) changes, by bisection."""
+    side = _t_arithmetic_overflows(d, lo)
+    while np.nextafter(lo, hi) < hi:
+        mid = float(np.sqrt(lo) * np.sqrt(hi)) if lo > 0 else hi / 2
+        mid = min(max(mid, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+        lo, hi = (mid, hi) if _t_arithmetic_overflows(d, mid) == side else (lo, mid)
+    return lo, hi
+
+
+class TestRange:
+    @pytest.mark.parametrize("d", [1, 2, 4, 9, 771])
+    def test_refuses_exactly_where_the_constants_overflow(self, d):
+        grid = [float(a) for a in np.logspace(-323, 308, 400)]
+        edges = [a for bracket in (_edge(d, 5e-324, 1.0), _edge(d, 1.0, 1.7e308)) for a in bracket]
+        for a in grid + edges:
+            overflows = _t_arithmetic_overflows(d, a)
+            if overflows:
+                with pytest.raises(ValueError, match="out of the float range"):
+                    statistic.check_range(d, a)
+            else:
+                assert statistic.check_range(d, a) == a
+        # both edges lie inside the float range, and at each one side is refused
+        assert [_t_arithmetic_overflows(d, a) for a in edges] == [True, False, False, True]
+
+    def test_refuses_every_a_once_the_dimension_overflows(self):
+        for a in (1e-3, 1.0, 1e3):
+            assert _t_arithmetic_overflows(772, a)
+            with pytest.raises(ValueError, match="at d=772"):
+                statistic.check_range(772, a)
+
+    def test_statistic_too_large_for_a_float_raises(self):
+        # the constants at a = 1e-153, d = 4 are finite; T on this sample is not
+        sample = scaled_residuals(make_rng(14).normal(size=(50, 4)))
+        assert np.isfinite(statistic._t_value(sample.residuals, 1e-152))
+        with pytest.raises(ValueError, match="T is inf at n=50, d=4"):
+            t_statistic(sample, 1e-153)
+
+    @pytest.mark.parametrize("a", [1e-200, 1e100])
+    def test_t_statistic_refuses_before_the_arithmetic(self, a):
+        with pytest.raises(ValueError, match="takes the constants of T out of the float range at d=4"):
+            t_statistic(scaled_residuals(make_rng(14).normal(size=(50, 4))), a)
+
+
 class TestMomentStatistics:
     def test_symmetric_samples_zero_skewness(self):
         for sample in (TWO_POINT, THREE_POINT):
