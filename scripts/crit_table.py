@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Reproduce the 0.95 critical value table for the scaled statistic.
 
-Runs a full (d, n, a) grid including the limit-sampler rows, and writes CSV + JSON.  Resumable: rerun with the same
-arguments and completed cells are skipped.
+Runs a full (d, n, a) grid including the limit-sampler rows, and writes the JSON table to --out.  Restartable: the
+null simulations are checkpointed in the directory <--out>.checkpoint, so a rerun with the same arguments simulates
+only the finite-n cells it lacks (the n = inf rows, about 1 s each, are recomputed).  The table is written at the end.
 
     python scripts/crit_table.py --reps 100000 --out crit_table.json
 """
@@ -26,7 +27,7 @@ if __name__ == "__main__":
 
     argv = ["crit-table", "--reps", str(args.reps), "--seed", str(args.seed),
             "--workers", str(args.workers), "--format", "json",
-            "--output", args.out, "--resume"]
+            "--output", args.out, "--checkpoint", args.out + ".checkpoint"]
     for d in GRID_D:
         argv += ["--d", str(d)]
     for n in GRID_N:

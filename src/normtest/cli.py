@@ -139,13 +139,6 @@ def _parse_n(value: str) -> float:
 
 def cmd_crit_table(args) -> int:
     _check_run_config(args)
-    if args.resume and not args.output:
-        raise ValueError("--resume needs --output: the table is read from and saved to that file")
-    if args.resume and args.format != "json":
-        raise ValueError(
-            f"--resume needs --format json: a {args.format} rendering in --output cannot be "
-            "read back, so every rerun would start over"
-        )
     for d, n, a in itertools.product(args.d, args.n, args.a):
         _check_cell(d, n, a)
     given = {k: v for k, v in (("m", args.m), ("ell", args.ell)) if v is not None}
@@ -153,29 +146,7 @@ def cmd_crit_table(args) -> int:
         raise ValueError(f"nothing reads {' or '.join('--' + k for k in given)}: no --n inf row was asked for")
     limit_cfg = LimitSamplerConfig(**given) if math.inf in args.n else None
     table = CriticalValueTable(replications=args.reps, seed=args.seed)
-    done = set()
-    if args.resume:
-        try:
-            with open(args.output) as f:
-                prev = CriticalValueTable.from_json(f.read())
-        except FileNotFoundError:
-            prev = None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            _progress(f"warning: cannot resume from {args.output} ({exc}); starting over")
-            prev = None
-        if prev is not None:
-            if (prev.replications, prev.seed) != (args.reps, args.seed):
-                raise ValueError(
-                    f"cannot resume: {args.output} holds replications={prev.replications}, "
-                    f"seed={prev.seed}; requested replications={args.reps}, seed={args.seed}"
-                )
-            table.entries.update(prev.entries)
-            done = set(prev.entries)
-            _progress(f"resuming: {len(done)} cells already present")
     for d, n, a in itertools.product(args.d, args.n, args.a):
-        key = CriticalValueTable._key(d, n, a, args.alpha)
-        if key in done:
-            continue
         if math.isinf(n):
             seed = derive_seed(args.seed, LIMIT, d, float_key(a))
             q = limit_quantile(d, a, args.alpha, replace(limit_cfg, seed=seed))
@@ -186,9 +157,6 @@ def cmd_crit_table(args) -> int:
             )
         table.add(d, n, a, args.alpha, q)
         _progress(f"d={d} n={n} a={a:g}: quantile {q:.4f}")
-        if args.resume:
-            with open(args.output, "w") as f:
-                f.write(table.to_json() + "\n")
     if args.format == "json":
         text = table.to_json() + "\n"
     else:
@@ -305,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=100_000)
     p.add_argument("--m", type=int, help="support points for n=inf entries (default 1000)")
     p.add_argument("--ell", type=int, help="replicates for n=inf entries (default 100000)")
-    p.add_argument("--resume", action="store_true", help="reuse cells from the json --output (needs --format json)")
-    p.add_argument("--checkpoint", default=None, help="directory for resumable within-cell state")
+    p.add_argument("--checkpoint", default=None, help="directory for resumable null-simulation state")
     _add_seed(p)
     _add_workers(p)
     _add_common(p)

@@ -148,27 +148,30 @@ def q2(y, a: float) -> np.ndarray:
 def p_aggregates(sample: StandardizedSample, a: float) -> np.ndarray:
     """(4, n) influence matrix of A_i(Y_k) in closed form, O(n^2 d) time, O(block^2 + nd) memory.
 
-    The only pairwise pass is E @ [r, r Y] with E[j, k] = exp(-||Y_j - Y_k||^2/(4a));
-    sum_l (Y_k . Y_l)^2 p_l factorizes as Y_k^T (Y^T diag(p) Y) Y_k.
+    The only pairwise pass is (E - I) @ [r, r Y] with E[j, k] = exp(-||Y_j - Y_k||^2/(4a)):
+    the diagonal terms of w cancel exactly, so they are left out rather than
+    cancelled in floating point, where cp1/(2a) would amplify their roundoff
+    at small a.  sum_l (Y_k . Y_l)^2 p_l factorizes as Y_k^T (Y^T diag(p) Y) Y_k.
     """
     a = check_tuning(a)
     y = sample.residuals
     n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
-    er = _pairwise_apply(_gauss_kernel(y, r, a), np.column_stack([r, r[:, None] * y])) / n
-    sum_re, sum_re_y = er[:, 0], er[:, 1:]
+    kernel = _gauss_kernel(y, r, a)
+    off_diagonal = kernel._replace(diag=np.full(kernel.diag.shape, -np.inf))  # exp(-inf) = 0
+    er = _pairwise_apply(off_diagonal, np.column_stack([r, r[:, None] * y])) / n
     cp1 = (np.pi / a) ** (d / 2.0)
     q1v = np.asarray(q1(y, a))
     q2v = np.asarray(q2(y, a))
 
     # P^{1,a,3}(Y_k) = (1/n) sum_l r_l p1(Y_k, Y_l) - q1(Y_k)
-    p13 = cp1 * sum_re - q1v
+    p13 = cp1 * (er[:, 0] + r / n) - q1v  # the diagonal, E[k, k] = 1, added back
     p1a2_tilde = (y.T @ p13) / n
     p12 = np.einsum("kp,pq,kq->k", y, (y.T * p13) @ y, y) / n
 
     # w_l = (1/n) sum_m r_m p2(Y_m, Y_l) - q2(Y_l); p2's first argument is the
     # index carrying the r_m weight of the centred projection.
-    w = cp1 / (2.0 * a) * (sum_re_y - sum_re[:, None] * y) - q2v
+    w = cp1 / (2.0 * a) * (er[:, 1:] - er[:, :1] * y) - q2v
     p2a_tilde = (w.T @ r) / n
     p2a1 = float(np.mean(r * np.einsum("ij,ij->i", y, w)))
     cmat = (w.T * r) @ y / n

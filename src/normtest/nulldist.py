@@ -174,7 +174,8 @@ def mc_null_sample(
 def critical_value(samples, alpha: float) -> float:
     """Empirical (1-alpha) quantile: the ceil((1-alpha) N)-th order statistic.
 
-    A sample holding a nan, a replicate whose statistic failed, is refused.
+    A sample holding a nan, a replicate whose statistic failed, is refused,
+    and so is a quantile that is infinite, a replicate that overflowed.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -185,7 +186,11 @@ def critical_value(samples, alpha: float) -> float:
         raise ValueError(f"{failed} of {x.size} replicates are nan; a critical value needs all of them")
     x = np.sort(x)
     k = math.ceil((1.0 - alpha) * x.size)
-    return float(x[max(k, 1) - 1])
+    q = float(x[max(k, 1) - 1])
+    if not math.isfinite(q):
+        overflowed = int(np.isinf(x).sum())
+        raise ValueError(f"{overflowed} of {x.size} replicates overflowed; the critical value is {q}")
+    return q
 
 
 def pvalue_mc(

@@ -26,6 +26,7 @@ import operator
 import os
 import sys
 import tempfile
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -159,12 +160,16 @@ def _run_range(fn, seed: int, lo: int, hi: int, args: tuple) -> np.ndarray:
 
 
 def _load_checkpoint(path: str, meta: str) -> np.ndarray | None:
+    """The values saved for ``meta`` at ``path``, or None; a damaged file is
+    reported on stderr and left for the run to overwrite."""
     try:
         with np.load(path, allow_pickle=False) as f:
             if str(f["meta"]) == meta:
                 return np.asarray(f["values"])
-    except (OSError, KeyError, ValueError):
+    except FileNotFoundError:
         pass
+    except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        print(f"warning: cannot read checkpoint {path} ({exc}); recomputing its replications", file=sys.stderr)
     return None
 
 
@@ -210,7 +215,8 @@ def map_replications(
     With ``checkpoint`` (a directory) set, the completed prefix is persisted
     whenever it crosses a multiple of :data:`CHECKPOINT_EVERY` replications
     and at the end, to the file :func:`_checkpoint_file` names, and reused on
-    a rerun whose description matches.
+    a rerun whose description matches.  A file that cannot be read gets one
+    ``warning:`` line on stderr, and the run recomputes and overwrites it.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")

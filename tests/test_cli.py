@@ -162,61 +162,52 @@ class TestCritTable:
         assert main(["test", "--input", data, "--a", "1.0", "--reps", "0"]) == 1
         assert main(["test", "--input", data, "--a", "1.0", "--alpha", "1.5"]) == 1
 
-    def test_resume_reuses_cells(self, tmp_path):
+    def test_checkpoint_reuses_cells(self, tmp_path, capsys):
         out = tmp_path / "table.json"
-        base = ["crit-table", "--d", "1", "--a", "1.0", "--reps", "400",
-                "--seed", "2", "--format", "json", "--output", str(out), "--resume",
-                "--workers", "1"]
+        base = ["crit-table", "--d", "1", "--a", "1.0", "--reps", "400", "--seed", "2", "--format", "json",
+                "--output", str(out), "--checkpoint", str(tmp_path / "state"), "--workers", "1"]
         main(base + ["--n", "12"])
         first = json.loads(out.read_text())
+        capsys.readouterr()
         main(base + ["--n", "12", "--n", "16"])
         second = json.loads(out.read_text())
         assert len(second["entries"]) == 2
         e12 = [e for e in second["entries"] if e["n"] == 12][0]
         assert e12 == first["entries"][0]
+        assert capsys.readouterr().err.count("resumed 400/400 replications") == 1
 
-    def test_resume_refuses_other_reps_or_seed(self, tmp_path, capsys):
-        out = tmp_path / "table.json"
-        base = ["crit-table", "--d", "1", "--a", "1.0", "--format", "json", "--output", str(out),
-                "--resume", "--workers", "1"]
-        assert main(base + ["--n", "12", "--reps", "200", "--seed", "2"]) == 0
-        first = out.read_bytes()
+    def test_checkpoint_serves_another_alpha_and_format(self, tmp_path, capsys):
+        # a checkpoint holds a cell's whole null sample, so any alpha and format reads it
+        base = ["crit-table", "--d", "1", "--d", "2", "--n", "12", "--a", "1.0", "--a", "2.0", "--reps", "300",
+                "--seed", "4", "--workers", "1"]
+        chk = ["--checkpoint", str(tmp_path / "state")]
+        assert main(base + chk + ["--format", "json"]) == 0
         capsys.readouterr()
-        for flags in (["--reps", "300", "--seed", "2"], ["--reps", "200", "--seed", "3"]):
-            assert main(base + ["--n", "16"] + flags) == 1
-            err = capsys.readouterr().err
-            assert "error:" in err and "replications=200, seed=2" in err
-            assert f"replications={flags[1]}, seed={flags[3]}" in err
-            assert out.read_bytes() == first
+        assert main(base + chk + ["--alpha", "0.1", "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        assert err.count("resumed 300/300 replications") == 4
+        assert "\r" not in err  # no replication was simulated
+        assert main(base + ["--alpha", "0.1", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == out
 
-    def test_resume_warns_on_unreadable_output(self, tmp_path, capsys):
-        out = tmp_path / "table.json"
-        base = ["crit-table", "--d", "1", "--a", "1.0", "--n", "12", "--reps", "200",
-                "--seed", "2", "--format", "json", "--output", str(out), "--resume",
-                "--workers", "1"]
-        assert main(base) == 0
-        assert "warning" not in capsys.readouterr().err
-        out.write_text("{not json")
-        assert main(base) == 0
-        assert "warning: cannot resume from" in capsys.readouterr().err
-        assert len(json.loads(out.read_text())["entries"]) == 1
-
-    @pytest.mark.parametrize("fmt", ["csv", "table"])
-    def test_resume_needs_json_format(self, tmp_path, capsys, fmt):
-        out = tmp_path / "table.out"
-        args = ["crit-table", "--d", "1", "--n", "12", "--a", "1.0", "--reps", "100",
-                "--format", fmt, "--output", str(out), "--resume", "--workers", "1"]
-        assert main(args) == 1
-        # refused before any cell: no progress line precedes the error
-        assert capsys.readouterr().err.startswith("error: --resume needs --format json")
-        assert not out.exists()
-
-    def test_resume_needs_output(self, capsys):
-        args = ["crit-table", "--d", "1", "--n", "12", "--a", "1.0", "--reps", "100",
-                "--format", "json", "--resume", "--workers", "1"]
-        assert main(args) == 1
-        # refused before any cell: no progress line precedes the error
-        assert capsys.readouterr().err.startswith("error: --resume needs --output")
+    def test_damaged_checkpoint_is_recomputed(self, tmp_path, capsys):
+        chk = tmp_path / "state"
+        args = ["crit-table", "--d", "1", "--n", "20", "--a", "1.0", "--reps", "300", "--seed", "2",
+                "--format", "json", "--checkpoint", str(chk), "--workers", "1"]
+        assert main(args) == 0
+        fresh = capsys.readouterr().out
+        [path] = chk.iterdir()
+        saved = path.read_bytes()
+        for damaged in [saved[:cut] for cut in (0, 1, 30, 300, len(saved) // 2, len(saved) - 1)] + [
+            b"PK\x03\x04garbage", b"plain text\n"
+        ]:
+            path.write_bytes(damaged)
+            assert main(args) == 0
+            out, err = capsys.readouterr()
+            assert out == fresh
+            assert err.count("warning:") == 1 and f"warning: cannot read checkpoint {path} (" in err
+            assert "resumed" not in err
+            assert path.read_bytes() == saved  # recomputed and overwritten
 
 
 class TestPowerCommand:
@@ -287,13 +278,15 @@ class TestPowerCommand:
 
 @pytest.mark.parametrize("command,flag", [("delta-ci", "--seed"), ("delta-ci", "--workers"),
                                           ("validate", "--seed"), ("validate", "--workers"),
-                                          ("limit-quantile", "--workers"), ("limit-quantile", "--jitter")])
+                                          ("limit-quantile", "--workers"), ("limit-quantile", "--jitter"),
+                                          ("crit-table", "--resume")])
 def test_unread_flag_refused(tmp_path, capsys, command, flag):
     # a flag the command would ignore is an argparse error (exit code 2)
     data = _write_normal_csv(tmp_path / "x.csv", n=30, d=1)
     argv = {"delta-ci": ["--input", data, "--a", "0.5"],
             "validate": ["--input", data, "--a", "0.5", "--delta0", "0.1"],
-            "limit-quantile": ["--d", "1", "--a", "1.0", "--m", "20", "--ell", "100"]}[command]
+            "limit-quantile": ["--d", "1", "--a", "1.0", "--m", "20", "--ell", "100"],
+            "crit-table": ["--d", "1", "--n", "12", "--a", "1.0", "--reps", "100"]}[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *argv, flag, "1"])
     assert exc.value.code == 2 and f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
@@ -482,6 +475,20 @@ def test_tuning_out_of_range_in_a_competitor_gives_no_power(capsys):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert err.splitlines()[-1] == "error: 50 of 50 replicates are nan; a critical value needs all of them"
+
+
+# numpy warns as it computes the overflowing replicates; the error line comes last
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["crit-table", "--d", "4", "--n", "50", "--a", "1e-153", "--reps", "200"],
+    ["power", "--d", "4", "--n", "50", "--a", "1e-153", "--alt", "mt:nu=5", "--reps", "100", "--crit-reps", "200"],
+], ids=["crit-table", "power"])
+def test_overflowing_null_gives_no_critical_value(capsys, argv):
+    # every null replicate is inf at this a: the quantile is refused, not printed as inf or a 0% power
+    assert main([*argv, "--workers", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "error: 200 of 200 replicates overflowed; the critical value is inf"
 
 
 def test_checkpoint_rerun_in_a_fresh_process_resumes(tmp_path):

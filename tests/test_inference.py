@@ -1,3 +1,4 @@
+import pathlib
 import re
 
 import numpy as np
@@ -33,6 +34,7 @@ from normtest.inference import (
 from normtest.quadrature import QuadratureSpec
 from conftest import make_rng, random_invertible
 
+IRIS = pathlib.Path(__file__).parent / "data" / "iris.csv"
 TWO_POINT = StandardizedSample.from_residuals([[-1.0], [1.0]])
 
 
@@ -453,6 +455,16 @@ class TestSigmaHat:
         assert all(v >= 0.0 and np.isfinite(v) for v in null_vals + alt_vals)
         assert null_vals[2] < null_vals[0]
         assert 0.5 < alt_vals[2] / alt_vals[1] < 2.0
+
+    def test_small_a_keeps_its_limit(self):
+        # sigma_hat^2 a^4 tends to a constant as a -> 0; the diagonal terms of the
+        # pairwise pass, which cancel exactly, must not leave roundoff behind that
+        # (pi/a)^{d/2} / (2a) amplifies
+        setosa = np.loadtxt(IRIS, delimiter=",", skiprows=1, max_rows=50)
+        sample = scaled_residuals(setosa)
+        ref = sigma_hat_sq(sample, 1e-8) * 1e-8**4
+        for a in (1e-12, 1e-14, 1e-16):
+            assert sigma_hat_sq(sample, a) * a**4 == pytest.approx(ref, rel=1e-9)
 
 
 class TestDeltaValues:

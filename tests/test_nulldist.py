@@ -346,9 +346,13 @@ class TestCriticalValue:
         data[[2, 7]] = np.nan
         with pytest.raises(ValueError, match="^2 of 10 replicates are nan"):
             critical_value(data, 0.1)
-        # +inf is a replicate too large for a float, a rejection; it is kept
-        data[[2, 7]] = np.inf
-        assert critical_value(data, 0.1) == np.inf
+        # +inf is a replicate too large for a float; it is kept above a finite quantile
+        data[[2, 7]] = [3.0, np.inf]
+        assert critical_value(data, 0.1) == 10.0
+        # and refused as the quantile itself
+        data[2] = np.inf
+        with pytest.raises(ValueError, match="^2 of 10 replicates overflowed; the critical value is inf$"):
+            critical_value(data, 0.1)
 
     def test_alpha_domain(self):
         for alpha in (0.0, 1.0, np.nan):
