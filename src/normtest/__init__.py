@@ -27,7 +27,6 @@ from .inference import (
     z_n,
 )
 from .nulldist import (
-    CriticalValueTable,
     KernelNotPSD,
     LimitSamplerConfig,
     critical_value,
@@ -61,7 +60,6 @@ __all__ = [
     "AlternativeSpec",
     "CompetitorSpec",
     "ConfidenceInterval",
-    "CriticalValueTable",
     "DeltaEstimate",
     "KernelNotPSD",
     "LimitSamplerConfig",

@@ -15,13 +15,12 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import power as power_mod
 from .competitors import parse_competitor
 from .inference import check_delta0, confidence_interval, delta_estimate, validation_test
 from .nulldist import (
-    CriticalValueTable,
     LimitSamplerConfig,
     _check_cell,
     _pvalue,
@@ -40,10 +39,10 @@ def _progress(msg: str) -> None:
 
 
 def _emit(args, text: str) -> None:
-    print(text, end="" if text.endswith("\n") else "\n")
+    print(text, end="")
     if args.output:
         with open(args.output, "w") as f:
-            f.write(text if text.endswith("\n") else text + "\n")
+            f.write(text)
 
 
 def _render_rows(fmt: str, header: list[str], rows: list[list]) -> str:
@@ -139,32 +138,31 @@ def _parse_n(value: str) -> float:
 
 def cmd_crit_table(args) -> int:
     _check_run_config(args)
-    for d, n, a in itertools.product(args.d, args.n, args.a):
+    cells = sorted(set(itertools.product(args.d, args.n, args.a)))
+    for d, n, a in cells:
         _check_cell(d, n, a)
-    given = {k: v for k, v in (("m", args.m), ("ell", args.ell)) if v is not None}
-    if given and math.inf not in args.n:
-        raise ValueError(f"nothing reads {' or '.join('--' + k for k in given)}: no --n inf row was asked for")
-    limit_cfg = LimitSamplerConfig(**given) if math.inf in args.n else None
-    table = CriticalValueTable(replications=args.reps, seed=args.seed)
-    for d, n, a in itertools.product(args.d, args.n, args.a):
+    rows = []
+    for d, n, a in cells:
         if math.isinf(n):
-            seed = derive_seed(args.seed, LIMIT, d, float_key(a))
-            q = limit_quantile(d, a, args.alpha, replace(limit_cfg, seed=seed))
+            config = LimitSamplerConfig(seed=derive_seed(args.seed, LIMIT, d, float_key(a)))
+            q = limit_quantile(d, a, args.alpha, config)
         else:
             q = power_mod.t_critical_value(
-                d, int(n), a, args.alpha, args.reps, args.seed, workers=args.workers,
+                d, n, a, args.alpha, args.reps, args.seed, workers=args.workers,
                 checkpoint=args.checkpoint, progress=True,
             )
-        table.add(d, n, a, args.alpha, q)
         _progress(f"d={d} n={n} a={a:g}: quantile {q:.4f}")
+        rows.append({"d": d, "n": "inf" if math.isinf(n) else n, "a": a, "alpha": args.alpha, "quantile": q,
+                     "replications": args.reps, "seed": args.seed})
     if args.format == "json":
-        text = table.to_json() + "\n"
+        table = {"entries": rows, "replications": args.reps, "seed": args.seed}
+        text = json.dumps(table, indent=2, sort_keys=True) + "\n"
     else:
         # the table format leaves out the columns that repeat the flags
         header = ["d", "n", "a", "alpha", "quantile"]
         if args.format == "csv":
             header += ["replications", "seed"]
-        text = _render_rows(args.format, header, [[r[k] for k in header] for r in table.rows()])
+        text = _render_rows(args.format, header, [[r[k] for k in header] for r in rows])
     _emit(args, text)
     return 0
 
@@ -271,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, action="append", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=100_000)
-    p.add_argument("--m", type=int, help="support points for n=inf entries (default 1000)")
-    p.add_argument("--ell", type=int, help="replicates for n=inf entries (default 100000)")
     p.add_argument("--checkpoint", default=None, help="directory for resumable null-simulation state")
     _add_seed(p)
     _add_workers(p)

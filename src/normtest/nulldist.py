@@ -11,10 +11,9 @@ form of the limit mean E(T_inf).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,14 +118,17 @@ def _rep(
     whiten = any(row is None or not row.raw for row in rows)
     out = np.empty((len(rngs), len(columns)))
     stream = iter(rngs)
-    for lo in range(0, len(rngs), block):
-        xs = np.stack([_draw(alt, rng, n, d) for rng in itertools.islice(stream, block)])
-        y = _whiten(xs)[0] if whiten else None
-        for c, (column, row) in enumerate(zip(columns, rows)):
-            if row is None:
-                out[lo : lo + block, c] = _scaled_t(y, column)
-            else:
-                out[lo : lo + block, c] = row.statistic(xs if row.raw else y, column.tuning)
+    # an overflowing replicate is inf, which critical_value names; a nan one
+    # (an invalid operation) still warns, as nothing else reports it
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(rngs), block):
+            xs = np.stack([_draw(alt, rng, n, d) for rng in itertools.islice(stream, block)])
+            y = _whiten(xs)[0] if whiten else None
+            for c, (column, row) in enumerate(zip(columns, rows)):
+                if row is None:
+                    out[lo : lo + block, c] = _scaled_t(y, column)
+                else:
+                    out[lo : lo + block, c] = row.statistic(xs if row.raw else y, column.tuning)
     return out
 
 
@@ -274,58 +276,3 @@ def limit_quantile(d: int, a: float, alpha: float, config: LimitSamplerConfig) -
         np.square(g, out=g)
         zs[lo:hi] = g @ weights
     return critical_value(zs, alpha)
-
-
-@dataclass
-class CriticalValueTable:
-    """Quantiles of the scaled statistic, keyed by (d, n, a, alpha).
-
-    ``n`` is an int for finite-sample entries and ``math.inf`` for entries
-    produced by the limit sampler.
-    """
-
-    entries: dict[tuple[int, float, float, float], float] = field(default_factory=dict)
-    replications: int = 0
-    seed: int = 0
-
-    @staticmethod
-    def _key(d: int, n: float, a: float, alpha: float) -> tuple[int, float, float, float]:
-        return (int(d), float(n), float(a), float(alpha))
-
-    def add(self, d: int, n: float, a: float, alpha: float, quantile: float) -> None:
-        self.entries[self._key(d, n, a, alpha)] = float(quantile)
-
-    def lookup(self, d: int, n: float, a: float, alpha: float) -> float:
-        return self.entries[self._key(d, n, a, alpha)]
-
-    def rows(self) -> list[dict]:
-        out = []
-        for (d, n, a, alpha), q in sorted(self.entries.items()):
-            out.append(
-                {
-                    "d": d,
-                    "n": "inf" if math.isinf(n) else int(n),
-                    "a": a,
-                    "alpha": alpha,
-                    "quantile": q,
-                    "replications": self.replications,
-                    "seed": self.seed,
-                }
-            )
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"replications": self.replications, "seed": self.seed, "entries": self.rows()},
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CriticalValueTable":
-        obj = json.loads(text)
-        table = cls(replications=int(obj["replications"]), seed=int(obj["seed"]))
-        for row in obj["entries"]:
-            n = math.inf if row["n"] == "inf" else float(row["n"])
-            table.add(int(row["d"]), n, float(row["a"]), float(row["alpha"]), float(row["quantile"]))
-        return table

@@ -109,41 +109,57 @@ class TestCritTable:
         first = out.read_bytes()
         obj = json.loads(first)
         assert {e["a"] for e in obj["entries"]} == {1.0, 2.0}
-        # parse -> serialize -> parse fixed point
-        from normtest import CriticalValueTable
-
-        table = CriticalValueTable.from_json(first.decode())
-        assert CriticalValueTable.from_json(table.to_json()).to_json() == table.to_json()
         assert main(args) == 0
         assert out.read_bytes() == first
 
     def test_inf_rows_via_limit_sampler(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         code = main(
-            ["crit-table", "--d", "1", "--n", "inf", "--a", "1.0", "--m", "80",
-             "--ell", "4000", "--format", "csv", "--output", str(out), "--workers", "1"]
+            ["crit-table", "--d", "1", "--n", "inf", "--a", "1.0", "--format", "csv", "--output", str(out),
+             "--workers", "1"]
         )
         assert code == 0
         seed = derive_seed(0, LIMIT, 1, float_key(1.0))
-        q = limit_quantile(1, 1.0, 0.05, LimitSamplerConfig(m=80, ell=4000, seed=seed))
+        q = limit_quantile(1, 1.0, 0.05, LimitSamplerConfig(seed=seed))
         assert out.read_text().splitlines() == [
             "d,n,a,alpha,quantile,replications,seed",
             f"1,inf,1.0,0.05,{q!r},100000,0",
         ]
-
-    @pytest.mark.parametrize(
-        "flags,named", [(["--m", "1"], "--m"), (["--ell", "500"], "--ell"), (["--m", "50", "--ell", "500"], "--m or --ell")]
-    )
-    def test_limit_flags_refused_without_an_inf_row(self, capsys, flags, named):
-        args = ["crit-table", "--d", "1", "--n", "10", "--a", "1", "--reps", "100", "--workers", "1"]
-        assert main(args + flags) == 1
-        assert capsys.readouterr().err == f"error: nothing reads {named}: no --n inf row was asked for\n"
 
     def test_inf_row_defaults_its_limit_flags(self, monkeypatch):
         configs = []
         monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha, config: configs.append(config) or 1.0)
         assert main(["crit-table", "--d", "1", "--n", "inf", "--a", "1", "--format", "json"]) == 0
         assert [(c.m, c.ell) for c in configs] == [(1000, 100_000)]
+
+    def test_json_text_of_one_row(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha, config: 0.625)
+        assert main(["crit-table", "--d", "2", "--n", "inf", "--a", "3", "--seed", "5", "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n'
+            '  "entries": [\n'
+            '    {\n'
+            '      "a": 3.0,\n'
+            '      "alpha": 0.05,\n'
+            '      "d": 2,\n'
+            '      "n": "inf",\n'
+            '      "quantile": 0.625,\n'
+            '      "replications": 100000,\n'
+            '      "seed": 5\n'
+            '    }\n'
+            '  ],\n'
+            '  "replications": 100000,\n'
+            '  "seed": 5\n'
+            '}\n'
+        )
+
+    def test_repeated_cell_computed_once(self, capsys):
+        args = ["crit-table", "--d", "1", "--n", "12", "--n", "12", "--a", "1.0", "--reps", "200", "--format", "csv",
+                "--workers", "1"]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 2  # the header and one row
+        assert err.count("quantile") == 1
 
     def test_checkpoint_directory(self, tmp_path):
         out = tmp_path / "t.json"
@@ -279,7 +295,8 @@ class TestPowerCommand:
 @pytest.mark.parametrize("command,flag", [("delta-ci", "--seed"), ("delta-ci", "--workers"),
                                           ("validate", "--seed"), ("validate", "--workers"),
                                           ("limit-quantile", "--workers"), ("limit-quantile", "--jitter"),
-                                          ("crit-table", "--resume")])
+                                          ("crit-table", "--resume"), ("crit-table", "--m"),
+                                          ("crit-table", "--ell")])
 def test_unread_flag_refused(tmp_path, capsys, command, flag):
     # a flag the command would ignore is an argparse error (exit code 2)
     data = _write_normal_csv(tmp_path / "x.csv", n=30, d=1)
@@ -379,7 +396,7 @@ class TestLimitQuantileCommand:
     [
         ["limit-quantile", "--d", "0", "--a", "1.0", "--m", "20", "--ell", "100"],
         ["limit-quantile", "--d", "1", "--d", "0", "--a", "1.0", "--m", "20", "--ell", "100"],
-        ["crit-table", "--d", "0", "--n", "inf", "--a", "1.0", "--m", "20", "--ell", "100"],
+        ["crit-table", "--d", "0", "--n", "inf", "--a", "1.0"],
         ["crit-table", "--d", "1", "--d", "0", "--n", "10", "--a", "1.0", "--reps", "50", "--workers", "1"],
         ["power", "--alt", "std", "--d", "0", "--n", "10", "--a", "1.0", "--reps", "50", "--workers", "1"],
     ],
@@ -411,8 +428,7 @@ _SECOND_A = "tuning parameter a must be a positive finite real, got -1.0"
         (["power", "--alt", "std", "--alt", "t:nu=3", "--d", "2", "--n", "20", "--a", "1", "--a", "2",
           "--competitor", "bhep", "--reps", "50", "--crit-reps", "200", "--workers", "1"],
          "t is univariate; use prod:t(nu=3.0) for d=2"),
-        (["crit-table", "--d", "1", "--n", "10", "--n", "inf", "--a", "1", "--reps", "200", "--m", "1",
-          "--workers", "1"], "need at least m=2 support points"),
+        (["limit-quantile", "--d", "1", "--a", "1", "--m", "1", "--ell", "500"], "need at least m=2 support points"),
         (["power", "--alt", "std", "--d", "2", "--n", "20", "--a", "1", "--competitor", "bhep:abc", "--reps", "50",
           "--workers", "1"], "bhep requires a finite a > 0, got 'abc'"),
         (["delta-ci", "--input", str(IRIS), "--header", "--a", "0.5", "--alpha", "2"], "alpha must be in (0, 1)"),
@@ -422,7 +438,7 @@ _SECOND_A = "tuning parameter a must be a positive finite real, got -1.0"
           "--crit-reps", "100", "--workers", "1"], "nmix sigma=I is a matrix, for d >= 2; give a variance at d = 1"),
     ],
     ids=["crit-table-second-a", "limit-quantile-second-a", "test-second-a", "power-univariate-competitor",
-         "power-univariate-alternative", "crit-table-inf-m", "power-non-numeric-tuning", "delta-ci-alpha",
+         "power-univariate-alternative", "limit-quantile-m", "power-non-numeric-tuning", "delta-ci-alpha",
          "validate-delta0", "power-nmix-matrix-sigma-at-d1"],
 )
 def test_late_input_refused_before_any_simulation(capsys, monkeypatch, argv, message):
@@ -477,8 +493,6 @@ def test_tuning_out_of_range_in_a_competitor_gives_no_power(capsys):
     assert err.splitlines()[-1] == "error: 50 of 50 replicates are nan; a critical value needs all of them"
 
 
-# numpy warns as it computes the overflowing replicates; the error line comes last
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["crit-table", "--d", "4", "--n", "50", "--a", "1e-153", "--reps", "200"],
     ["power", "--d", "4", "--n", "50", "--a", "1e-153", "--alt", "mt:nu=5", "--reps", "100", "--crit-reps", "200"],

@@ -9,7 +9,6 @@ from scipy.special import gamma as gamma_fn
 
 from normtest import (
     CompetitorSpec,
-    CriticalValueTable,
     LimitSamplerConfig,
     critical_value,
     expected_limit,
@@ -21,7 +20,6 @@ from normtest import (
     t_statistic,
 )
 from normtest import evaluate, nulldist, parallel, power
-from normtest.cli import _render_rows
 from normtest.competitors import KINDS, parse_competitor
 from normtest.samplers import parse_spec, sample
 from normtest.nulldist import KernelNotPSD, _kernel_matrix
@@ -493,24 +491,6 @@ class TestLimitQuantile:
         # the limit sampler runs on such a kernel
         cfg = LimitSamplerConfig(m=50, ell=500, seed=3)
         assert limit_quantile(2, 1.0, 0.05, cfg) > 0.0
-
-
-class TestCriticalValueTable:
-    def test_json_round_trip_fixed_point(self):
-        table = CriticalValueTable(replications=1000, seed=3)
-        table.add(1, 20, 1.0, 0.05, 1.597)
-        table.add(2, math.inf, 3.0, 0.05, 0.598)
-        text = table.to_json()
-        again = CriticalValueTable.from_json(text)
-        assert again.to_json() == text
-        assert again.lookup(2, math.inf, 3.0, 0.05) == 0.598
-
-    def test_csv_contains_inf_row(self):
-        table = CriticalValueTable(replications=10, seed=0)
-        table.add(2, math.inf, 3.0, 0.05, 0.6)
-        header = ["d", "n", "a", "alpha", "quantile", "replications", "seed"]
-        text = _render_rows("csv", header, [[r[k] for k in header] for r in table.rows()])
-        assert "2,inf,3.0,0.05,0.6,10,0" in text
 
 
 TABLE1 = {
