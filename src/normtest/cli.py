@@ -45,6 +45,13 @@ def _emit(args, text: str) -> None:
             f.write(text)
 
 
+def _table_cell(v) -> str:
+    """A float to 4 decimals, or in exponent form if nonzero and below 5e-5 or from 1e6 in magnitude."""
+    if not isinstance(v, float):
+        return str(v)
+    return f"{v:.4e}" if v != 0.0 and not 5e-5 <= abs(v) < 1e6 else f"{v:.4f}"
+
+
 def _render_rows(fmt: str, header: list[str], rows: list[list]) -> str:
     if fmt == "csv":
         lines = [",".join(header)]
@@ -54,9 +61,7 @@ def _render_rows(fmt: str, header: list[str], rows: list[list]) -> str:
     if fmt == "json":
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
     # aligned human table
-    cells = [header] + [
-        [f"{v:.4f}" if isinstance(v, float) else str(v) for v in row] for row in rows
-    ]
+    cells = [header] + [[_table_cell(v) for v in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
     return "\n".join(lines) + "\n"

@@ -157,7 +157,7 @@ def p_aggregates(sample: StandardizedSample, a: float) -> np.ndarray:
     y = sample.residuals
     n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
-    kernel = _gauss_kernel(y, r, a)
+    kernel = _gauss_kernel(y, r, 1.0 / (4.0 * a))
     off_diagonal = kernel._replace(diag=np.full(kernel.diag.shape, -np.inf))  # exp(-inf) = 0
     er = _pairwise_apply(off_diagonal, np.column_stack([r, r[:, None] * y])) / n
     cp1 = (np.pi / a) ** (d / 2.0)

@@ -207,9 +207,11 @@ def pvalue_mc(
 ) -> float:
     """Monte Carlo p-value (1 + #{replicates >= observed}) / (R + 1).
 
-    ``observed`` is compared on the scaled statistic.
+    ``observed`` is compared on the scaled statistic; a ``nan``, which no replicate reaches, is refused.
     """
     obs = observed.scaled if isinstance(observed, StatisticValue) else float(observed)
+    if math.isnan(obs):
+        raise ValueError("observed statistic is nan: no p-value")
     return _pvalue(mc_null_sample(d, n, a, replications, seed, workers=workers), obs)
 
 

@@ -103,8 +103,8 @@ def power_matrix(
     values those of :func:`t_power` or :func:`competitor_power` run alone.
     ``crit_replications`` (default: same as ``replications``) controls the
     null simulations for the critical values, which are shared across rows.
-    A study with no column, an invalid cell or no critical-value replication
-    is refused before any simulation.
+    A study with no column, an invalid cell, no critical-value replication or
+    two columns of one label is refused before any simulation.
     """
     cells = (*a_list, *competitors)
     if not cells:
@@ -116,6 +116,9 @@ def power_matrix(
     if crit_reps < 1:
         raise ValueError(f"critical-value replications must be >= 1, got {crit_reps}")
     columns = [f"t:{a:g}" for a in a_list] + [c.label() for c in competitors]
+    for label in columns:
+        if (count := columns.count(label)) > 1:
+            raise ValueError(f"power column {label} is asked for {count} times: one label per column")
     crits = []
     for column, label in zip(cells, columns):
         if isinstance(column, CompetitorSpec):

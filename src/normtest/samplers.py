@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .parallel import substream
+from .standardize import check_sample_size
 
 
 @dataclass(frozen=True)
@@ -266,6 +267,7 @@ def _check_dimension(spec: AlternativeSpec, d: int) -> None:
 
 def sample(spec: AlternativeSpec, n: int, seed_or_rng, d: int = 1) -> np.ndarray:
     """Draw an (n, d) data matrix; deterministic given (spec, n, seed, d)."""
+    check_sample_size(math.inf, d)
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_dimension(spec, d)

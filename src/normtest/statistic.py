@@ -193,12 +193,11 @@ def _exp(e: np.ndarray) -> np.ndarray:
     return np.exp(e[0], out=e[0])
 
 
-def _gauss_kernel(y: np.ndarray, r: np.ndarray, a: float) -> _Kernel:
-    """Kernel exp(-||Y_j - Y_k||^2 / (4a)), its exponent exactly 0 on the diagonal.
+def _gauss_kernel(y: np.ndarray, r: np.ndarray, c: float) -> _Kernel:
+    """Kernel exp(-c ||Y_j - Y_k||^2), its exponent exactly 0 on the diagonal.
 
-    The exponent is 2c Y_j.Y_k - c r_j - c r_k with c = 1/(4a).
+    The exponent is 2c Y_j.Y_k - c r_j - c r_k: c = 1/(4a) for T and its variance, a^2/2 for BHEP.
     """
-    c = 1.0 / (4.0 * a)
     left, right = _affine_factors(y, r, (2.0 * c, -c, 0.0))
     return _Kernel(left, right, np.zeros(left.shape[:-1]), _exp)
 
@@ -207,7 +206,7 @@ def _t_value(y: np.ndarray, a: float) -> np.ndarray:
     """Raw statistic of each slice of a (..., n, d) residual stack (no validation)."""
     n, d = y.shape[-2:]
     r = np.einsum("...ij,...ij->...i", y, y)
-    quad = _pairwise_quad(_gauss_kernel(y, r, a), r)
+    quad = _pairwise_quad(_gauss_kernel(y, r, 1.0 / (4.0 * a)), r)
     term1 = (np.pi / a) ** (d / 2.0) / n * quad
     term2 = (
         2.0

@@ -77,6 +77,11 @@ class TestTestCommand:
         out = capsys.readouterr().out
         assert "p_value" in out and "statistic" in out
 
+    def test_table_prints_small_and_huge_floats_in_exponent_form(self):
+        text = cli._render_rows("table", ["x"], [[v] for v in (1e-5, 1 / 100001, 5e-5, 0.0, 0.5, 999999.9, 1e200)])
+        assert text.split() == ["x", "1.0000e-05", "9.9999e-06", "0.0001", "0.0000", "0.5000", "999999.9000",
+                                "1.0000e+200"]
+
     def test_missing_file_errors(self, capsys):
         assert main(["test", "--input", "/nonexistent.csv", "--a", "1"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -277,8 +282,12 @@ class TestPowerCommand:
             (["--competitor", "bcmr:5"], "bcmr takes no tuning, got 5.0"),
             (["--competitor", "hvinf:2"], "hv_inf takes no tuning, got 2.0"),
             ([], "a power study needs at least one column: an a or a competitor"),
+            # json keys each row by label, so a repeated one would drop a column
+            (["--a", "0.1234567", "--a", "0.1234568", "--competitor", "bhep", "--competitor", "bhep:1",
+              "--crit-reps", "50", "--format", "json"],
+             "power column t:0.123457 is asked for 2 times: one label per column"),
         ],
-        ids=["crit-reps-0", "bcmr-tuned", "hvinf-tuned", "no-column"],
+        ids=["crit-reps-0", "bcmr-tuned", "hvinf-tuned", "no-column", "repeated-label"],
     )
     def test_ignored_input_refused_before_any_simulation(self, capsys, flags, message):
         # the one line on stderr is the error: no critical value was simulated

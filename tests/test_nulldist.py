@@ -367,6 +367,11 @@ class TestPvalue:
     def test_above_all(self):
         assert pvalue_mc(np.inf, 1, 10, 1.0, 99, 0) == pytest.approx(1.0 / 100.0)
 
+    def test_nan_refused(self):
+        # no replicate is >= nan, which would otherwise read as the strongest rejection, 1/(R+1)
+        with pytest.raises(ValueError, match="nan"):
+            pvalue_mc(float("nan"), 1, 10, 1.0, 99, 0)
+
     def test_matches_manual_count(self):
         null = mc_null_sample(1, 10, 1.0, 199, 4)
         obs = float(np.median(null))

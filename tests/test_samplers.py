@@ -61,6 +61,12 @@ class TestParse:
         with pytest.raises(ValueError, match="d >= 2"):
             sample(AlternativeSpec("prod", base=spec), 10, 1, d=2)
 
+    @pytest.mark.parametrize("text", ["std", "prod:t(3)"])
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_dimension_below_one_refused(self, text, d):
+        with pytest.raises(ValueError, match=f"^need dimension d >= 1, got d={d}$"):
+            sample(parse_spec(text), 5, 0, d=d)
+
     def test_nmix_factor_is_cached_and_read_only(self):
         factor = samplers._nmix_factor("Bd", 3)
         assert samplers._nmix_factor("Bd", 3) is factor and not factor.flags.writeable

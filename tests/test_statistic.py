@@ -15,7 +15,7 @@ from normtest import (
     t_statistic_quadrature,
 )
 from normtest import statistic
-from normtest.competitors import _bhep_kernel, _hjg_kernel, _hv_kernel, bhep, hjg, hv
+from normtest.competitors import _hjg_kernel, _hv_kernel, bhep, hjg, hv
 from normtest.inference import p_aggregates, sigma_hat_sq
 from normtest.standardize import _whiten
 from conftest import make_rng
@@ -136,10 +136,10 @@ def _dense_kernel(kind: str, y: np.ndarray, t: float) -> np.ndarray:
 
 
 KERNELS = {
-    "t": (statistic._gauss_kernel, (0.05, 1.0, 5.0)),
-    "bhep": (_bhep_kernel, (0.5, 1.0, 3.0)),
-    "hjg": (_hjg_kernel, (1.5, 3.0, 10.0)),
-    "hv": (_hv_kernel, (2.5, 5.0, 20.0)),
+    "t": (lambda y, r, a: statistic._gauss_kernel(y, r, 1.0 / (4.0 * a)), (0.05, 1.0, 5.0)),
+    "bhep": (lambda y, r, a: statistic._gauss_kernel(y, r, 0.5 * a * a), (0.5, 1.0, 3.0)),
+    "hjg": (lambda y, r, beta: _hjg_kernel(y, r, beta, r.max(axis=-1)), (1.5, 3.0, 10.0)),
+    "hv": (lambda y, r, gamma: _hv_kernel(y, r, gamma, r.max(axis=-1)), (2.5, 5.0, 20.0)),
 }
 
 
