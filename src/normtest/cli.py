@@ -96,6 +96,13 @@ def _check_run_config(args) -> None:
     check_alpha(args.alpha)
 
 
+def _check_distinct(flag: str, values: list) -> None:
+    """Refuse a value given twice for ``flag``, which would run the same cell twice."""
+    for value in values:
+        if (count := values.count(value)) > 1:
+            raise ValueError(f"{flag} {value:g} is given {count} times: one row per value")
+
+
 def _add_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="numeric CSV, one observation per row")
     p.add_argument("--delimiter", default=",")
@@ -104,6 +111,7 @@ def _add_input(p: argparse.ArgumentParser) -> None:
 
 def cmd_test(args) -> int:
     _check_run_config(args)
+    _check_distinct("--a", args.a)
     data = load_csv(args.input, delimiter=args.delimiter, header=args.header)
     sample = scaled_residuals(data)
     # every statistic before the first simulation, so any refusal comes first
@@ -240,6 +248,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_limit_quantile(args) -> int:
+    _check_distinct("--d", args.d)
+    _check_distinct("--a", args.a)
     for d, a in itertools.product(args.d, args.a):
         _check_cell(d, math.inf, a)
     cfg = LimitSamplerConfig(m=args.m, ell=args.ell, seed=args.seed)

@@ -9,6 +9,8 @@ statistic hjg (smoothing beta > 1), the MGF differential-characterization
 statistic hv (gamma > 2) and its skewness-combination limit hv_inf.
 Univariate only: the Wasserstein-distance statistic bcmr and the zero-bias
 transformation statistic be (fixed tuning; no bootstrap selection).
+These two alone call scipy, and import it when they first run, so the other
+statistics and the commands that use none of these two start without it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
 
 from .samplers import _number
 from .standardize import StandardizedSample, _whiten, _whitenable
@@ -189,6 +189,9 @@ def bcmr(data) -> float:
 @functools.lru_cache
 def _bcmr_weights(n: int) -> tuple[np.ndarray, float]:
     """(order-statistic weights, read-only; tail integral) of :func:`bcmr` at sample size n."""
+    from scipy.integrate import quad
+    from scipy.special import ndtri
+
     q = ndtri(np.arange(n + 1) / n)
     dens = np.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
     weights = dens[:-1] - dens[1:]
@@ -230,6 +233,8 @@ def be(sample: StandardizedSample, a: float) -> float:
 
 def _be(y: np.ndarray, a: float) -> np.ndarray:
     """:func:`be` of each slice of a (..., n, 1) residual stack."""
+    from scipy.special import ndtr
+
     y = np.sort(y[..., 0], axis=-1)
     n = y.shape[-1]
     ysq = y * y
@@ -245,6 +250,11 @@ def _be(y: np.ndarray, a: float) -> np.ndarray:
     return 2.0 / n * np.sum(pair, axis=-1) + np.mean(single, axis=-1)
 
 
+def _load_ndtr(n: int) -> None:
+    """:func:`_be`'s preparation: load scipy.special, which it calls."""
+    import scipy.special  # noqa: F401
+
+
 class _Kind(NamedTuple):
     seed_id: int  # enters every competitor cell's seed key: part of the reproducibility contract
     default: float | None  # tuning used when none is given
@@ -254,6 +264,10 @@ class _Kind(NamedTuple):
     statistic: Callable[[np.ndarray, float | None], np.ndarray]
     univariate: bool = False  # defined at d = 1 only
     raw: bool = False  # the statistic reads the raw samples, not the residuals
+    # Called with n before a Monte Carlo cell of sample size n forks its
+    # workers: it loads what the statistic imports, and fills its caches, once
+    # in the parent rather than once in every worker.
+    prepare: Callable[[int], object] | None = None
 
 
 # The one per-kind table: validation, defaults, seeds and dispatch all read it.
@@ -262,8 +276,8 @@ _TABLE = {
     "hjg": _Kind(11, 1.5, ("beta", 1.0), _hjg),
     "hv": _Kind(12, 5.0, ("gamma", 2.0), _hv),
     "hv_inf": _Kind(13, None, None, lambda y, _: _hv_inf(y)),
-    "bcmr": _Kind(14, None, None, lambda x, _: _bcmr(x), univariate=True, raw=True),
-    "be": _Kind(15, 1.0, ("a", 0.0), _be, univariate=True),
+    "bcmr": _Kind(14, None, None, lambda x, _: _bcmr(x), univariate=True, raw=True, prepare=_bcmr_weights),
+    "be": _Kind(15, 1.0, ("a", 0.0), _be, univariate=True, prepare=_load_ndtr),
 }
 KINDS = tuple(_TABLE)
 

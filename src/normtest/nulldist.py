@@ -153,8 +153,13 @@ def _cell(
 ) -> np.ndarray:
     """The one Monte Carlo run of a cell: the (replications, C) block whose row i
     is every one of the C ``columns`` on the one draw from ``alt`` made with
-    ``substream(seed, i)``, in replication order."""
-    args = (alt, n, d, tuple(_check_cell(d, n, column, alt) for column in columns))
+    ``substream(seed, i)``, in replication order.  A competitor's preparation
+    runs here, in the parent, so that the workers of a pool inherit it."""
+    columns = tuple(_check_cell(d, n, column, alt) for column in columns)
+    for column in columns:
+        if isinstance(column, CompetitorSpec) and (prepare := _TABLE[column.kind].prepare):
+            prepare(n)
+    args = (alt, n, d, columns)
     return parallel.map_replications(
         _rep, replications, seed, args=args, workers=workers, checkpoint=checkpoint, progress=progress
     )

@@ -30,6 +30,9 @@ import zipfile
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+# numpy loads numpy.random on first use.  Loaded here, in the parent, it is
+# inherited by a pool's forked workers, which would each import it otherwise.
+import numpy.random  # noqa: F401
 
 ENV_WORKERS = "NORMTEST_THREADS"
 

@@ -445,10 +445,18 @@ _SECOND_A = "tuning parameter a must be a positive finite real, got -1.0"
          "delta0 must be a positive finite real, got -1.0"),
         (["power", "--alt", "nmix:p=0.1,sigma=I", "--d", "1", "--n", "20", "--a", "1", "--reps", "50",
           "--crit-reps", "100", "--workers", "1"], "nmix sigma=I is a matrix, for d >= 2; give a variance at d = 1"),
+        # a repeated value would run the same cell again and print the same row twice
+        (["test", "--input", str(IRIS), "--header", "--a", "1", "--a", "1.0", "--reps", "20", "--workers", "1"],
+         "--a 1 is given 2 times: one row per value"),
+        (["limit-quantile", "--d", "1", "--a", "1", "--a", "1", "--m", "20", "--ell", "100"],
+         "--a 1 is given 2 times: one row per value"),
+        (["limit-quantile", "--d", "1", "--d", "1", "--a", "1", "--m", "20", "--ell", "100"],
+         "--d 1 is given 2 times: one row per value"),
     ],
     ids=["crit-table-second-a", "limit-quantile-second-a", "test-second-a", "power-univariate-competitor",
          "power-univariate-alternative", "limit-quantile-m", "power-non-numeric-tuning", "delta-ci-alpha",
-         "validate-delta0", "power-nmix-matrix-sigma-at-d1"],
+         "validate-delta0", "power-nmix-matrix-sigma-at-d1", "test-repeated-a", "limit-quantile-repeated-a",
+         "limit-quantile-repeated-d"],
 )
 def test_late_input_refused_before_any_simulation(capsys, monkeypatch, argv, message):
     # stderr holds the error alone: no progress, critical-value or quantile line came before it
@@ -531,6 +539,81 @@ def test_checkpoint_rerun_in_a_fresh_process_resumes(tmp_path):
     assert "resumed 25000/25000 replications" in runs[1].stderr
     # the engine names the file from the run's description
     assert [re.fullmatch(r"[0-9a-f]{16}\.npz", p.name) is not None for p in chk.iterdir()] == [True]
+
+
+def _run_python(script: str, *argv: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter on the package in src/."""
+    env = {k: v for k, v in os.environ.items() if k != "NORMTEST_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Runs each command through cli.main in one process; prints, as json, whether
+# scipy was loaded after the import and after each command, with its exit code.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import normtest, normtest.cli
+iris = sys.argv[1]
+runs = {
+    "test": ["test", "--input", iris, "--header", "--a", "1", "--reps", "20"],
+    "crit-table": ["crit-table", "--d", "2", "--n", "10", "--a", "1", "--reps", "20"],
+    "power": ["power", "--alt", "std", "--d", "2", "--n", "10", "--a", "1", "--competitor", "bhep",
+              "--competitor", "hv", "--competitor", "hjg", "--competitor", "hvinf", "--reps", "20"],
+    "delta-ci": ["delta-ci", "--input", iris, "--header", "--a", "1"],
+    "validate": ["validate", "--input", iris, "--header", "--a", "1", "--delta0", "0.1"],
+    "limit-quantile": ["limit-quantile", "--d", "1", "--a", "1", "--m", "20", "--ell", "100"],
+    "power-be": ["power", "--alt", "std", "--d", "1", "--n", "10", "--competitor", "be", "--reps", "20"],
+}
+seen = {"import": [0, "scipy" in sys.modules]}
+for name, argv in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = normtest.cli.main(argv + (["--workers", "1"] if "--reps" in argv else []))
+    seen[name] = [code, "scipy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_commands_without_bcmr_or_be_never_load_scipy():
+    seen = json.loads(_run_python(_SCIPY_PROBE, str(IRIS)))
+    # validate exits 0 or 2 by its verdict; every other command exits 0
+    assert {name: loaded for name, (_code, loaded) in seen.items()} == {
+        "import": False, "test": False, "crit-table": False, "power": False, "delta-ci": False,
+        "validate": False, "limit-quantile": False, "power-be": True,
+    }
+    assert all(code in ((0, 2) if name == "validate" else (0,)) for name, (code, _loaded) in seen.items())
+
+
+# Records, when a pool starts, whether the parent has loaded scipy.special and
+# numpy.random, and whether bcmr's weights for the cell's n are cached.
+_POOL_PROBE = """
+import json, sys
+from normtest import competitors, nulldist, parallel
+n = 30
+seen = []
+
+class Recording(parallel.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        hits = competitors._bcmr_weights.cache_info().hits
+        loaded = ["scipy.special" in sys.modules, "numpy.random" in sys.modules]
+        competitors._bcmr_weights(n)
+        seen.append(loaded + [competitors._bcmr_weights.cache_info().hits > hits])
+        super().__init__(*args, **kwargs)
+
+parallel.ProcessPoolExecutor = Recording
+column = 1.0 if sys.argv[1] == "t" else competitors.CompetitorSpec(sys.argv[1])
+nulldist._cell(nulldist._NULL, 1, n, (column,), 200, 0, workers=2)
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("kind", ["t", "bcmr", "be"])
+def test_pooled_cells_load_what_their_workers_call_in_the_parent(kind):
+    # forked workers inherit what the parent loaded, and bcmr's weights for n, instead of each redoing it;
+    # T's cell loads no scipy, and every cell draws from numpy.random
+    assert json.loads(_run_python(_POOL_PROBE, kind)) == [[kind != "t", True, kind == "bcmr"]]
 
 
 def _cli_flags() -> set[str]:
