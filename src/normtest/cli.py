@@ -11,9 +11,12 @@ Progress goes to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -54,10 +57,12 @@ def _table_cell(v) -> str:
 
 def _render_rows(fmt: str, header: list[str], rows: list[list]) -> str:
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        # quoted where a field holds a comma, as a label like nmix(p=0.1,mu=3.0,sigma=I) does
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+        return buf.getvalue()
     if fmt == "json":
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
     # aligned human table
@@ -116,13 +121,14 @@ def cmd_test(args) -> int:
     sample = scaled_residuals(data)
     # every statistic before the first simulation, so any refusal comes first
     stats = [t_statistic(sample, _check_cell(sample.d, sample.n, a)) for a in args.a]
+    # one draw for every a: each column is bit for bit the null of its a alone
+    _progress(f"simulating null for a={', '.join(f'{a:g}' for a in args.a)} ({args.reps} replications)")
+    nulls = mc_null_sample(
+        sample.d, sample.n, tuple(args.a), args.reps, args.seed, workers=args.workers, progress=True,
+        checkpoint=args.checkpoint,
+    )
     rows = []
-    for a, stat in zip(args.a, stats):
-        _progress(f"simulating null for a={a:g} ({args.reps} replications)")
-        null = mc_null_sample(
-            sample.d, sample.n, a, args.reps, args.seed, workers=args.workers, progress=True,
-            checkpoint=args.checkpoint,
-        )
+    for a, stat, null in zip(args.a, stats, nulls.T):
         pval = _pvalue(null, stat.scaled)
         crit = critical_value(null, args.alpha)
         rows.append(
@@ -335,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # refused before the command runs, not after its work is done
+        if args.output and not os.path.isdir(os.path.dirname(os.path.abspath(args.output))):
+            raise ValueError(f"--output {args.output}: directory {os.path.dirname(args.output)} does not exist")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -166,16 +166,22 @@ def _cell(
 
 
 def mc_null_sample(
-    d: int, n: int, a: float, replications: int, seed: int,
+    d: int, n: int, a: float | tuple[float, ...], replications: int, seed: int,
     *, workers: int | None = 1, checkpoint: str | None = None, progress: bool = False,
 ) -> np.ndarray:
     """Simulate the scaled statistic under H0; returns the sorted sample.
 
-    Deterministic given ``seed``: replication i uses the substream derived
-    from (seed, i), so values do not depend on the worker count.
+    A float ``a`` gives the sorted (replications,) sample.  A tuple of C
+    values gives the (replications, C) block, each column sorted: every
+    ``a`` is evaluated on the same draws, made once, and column c is bit for
+    bit the sample of ``a[c]`` alone.  Deterministic given ``seed``:
+    replication i uses the substream derived from (seed, i), so values do
+    not depend on the worker count.
     """
-    vals = _cell(_NULL, d, n, (a,), replications, seed, workers=workers, checkpoint=checkpoint, progress=progress)
-    return np.sort(vals[:, 0])
+    columns = a if isinstance(a, tuple) else (a,)
+    vals = _cell(_NULL, d, n, columns, replications, seed, workers=workers, checkpoint=checkpoint, progress=progress)
+    vals.sort(axis=0)
+    return vals if isinstance(a, tuple) else vals[:, 0]
 
 
 def critical_value(samples, alpha: float) -> float:
@@ -213,8 +219,17 @@ def pvalue_mc(
     """Monte Carlo p-value (1 + #{replicates >= observed}) / (R + 1).
 
     ``observed`` is compared on the scaled statistic; a ``nan``, which no replicate reaches, is refused.
+    A :class:`StatisticValue` computed at other (n, d, a) than the null's is refused too.
     """
-    obs = observed.scaled if isinstance(observed, StatisticValue) else float(observed)
+    if isinstance(observed, StatisticValue):
+        if (observed.n, observed.d, observed.a) != (n, d, a):
+            raise ValueError(
+                f"observed statistic is at (n={observed.n}, d={observed.d}, a={observed.a:g}), "
+                f"the null at (n={n}, d={d}, a={a:g}): no p-value across cells"
+            )
+        obs = observed.scaled
+    else:
+        obs = float(observed)
     if math.isnan(obs):
         raise ValueError("observed statistic is nan: no p-value")
     return _pvalue(mc_null_sample(d, n, a, replications, seed, workers=workers), obs)

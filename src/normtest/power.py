@@ -13,6 +13,8 @@ independent of the worker count.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .competitors import _TABLE, CompetitorSpec
@@ -40,6 +42,11 @@ def _power_row(
 ) -> np.ndarray:
     """The (replications, C) block of a power row: every column on the draws of the row key (ALT, d, n)."""
     return _cell(alt, d, n, columns, replications, _cell_seed(seed, ALT, d, n), workers=workers)
+
+
+def _law(alt: AlternativeSpec) -> tuple:
+    """What ``alt`` draws: its kind, its values with defaults filled in, and its base's law."""
+    return alt.kind, alt.values, alt.base and _law(alt.base)
 
 
 def _rate(values: np.ndarray, crit: float) -> float:
@@ -104,7 +111,7 @@ def power_matrix(
     ``crit_replications`` (default: same as ``replications``) controls the
     null simulations for the critical values, which are shared across rows.
     A study with no column, an invalid cell, no critical-value replication or
-    two columns of one label is refused before any simulation.
+    two columns of one label, or two alternatives of one law, is refused before any simulation.
     """
     cells = (*a_list, *competitors)
     if not cells:
@@ -119,6 +126,14 @@ def power_matrix(
     for label in columns:
         if (count := columns.count(label)) > 1:
             raise ValueError(f"power column {label} is asked for {count} times: one label per column")
+    laws = [_law(alt) for alt in alternatives]
+    for i, j in itertools.combinations(range(len(alternatives)), 2):
+        if laws[i] == laws[j]:
+            # one row key (ALT, d, n) for both: the same draws, the same row twice
+            raise ValueError(
+                f"alternatives {alternatives[i].label()} and {alternatives[j].label()} draw the same law: "
+                "one row per law"
+            )
     crits = []
     for column, label in zip(cells, columns):
         if isinstance(column, CompetitorSpec):

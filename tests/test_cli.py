@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from normtest import cli
+from normtest import cli, nulldist, samplers
 from normtest.cli import build_parser, main
 from normtest.nulldist import LimitSamplerConfig, limit_quantile
 from normtest.parallel import LIMIT, derive_seed, float_key
@@ -71,6 +71,35 @@ class TestTestCommand:
               "--seed", "3", "--format", "json", "--output", str(out2), "--workers", "1"])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_one_draw_for_every_a(self, monkeypatch, capsys):
+        # R draws for three a, not 3R, and one progress line; each row is its a run alone
+        draws = []
+        monkeypatch.setattr(nulldist, "_draw", lambda *args: draws.append(1) or samplers._draw(*args))
+        argv = ["test", "--input", str(IRIS), "--header", "--reps", "50", "--seed", "4", "--workers", "1",
+                "--format", "json"]
+        assert main([*argv, "--a", "0.25", "--a", "1", "--a", "10"]) == 0
+        out, err = capsys.readouterr()
+        assert len(draws) == 50
+        assert [line for line in err.splitlines() if "simulating null" in line] == [
+            "simulating null for a=0.25, 1, 10 (50 replications)"
+        ]
+        alone = []
+        for a in ("0.25", "1", "10"):
+            assert main([*argv, "--a", a]) == 0
+            alone += json.loads(capsys.readouterr().out)
+        assert json.loads(out) == alone
+
+    def test_several_a_checkpoint_in_one_file(self, tmp_path, capsys):
+        chk = tmp_path / "state"
+        argv = ["test", "--input", str(IRIS), "--header", "--a", "0.5", "--a", "2", "--reps", "60",
+                "--workers", "1", "--checkpoint", str(chk)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert len(list(chk.iterdir())) == 1
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == first and err.count("resumed 60/60 replications") == 1
+
     def test_table_format_prints_aligned(self, tmp_path, capsys):
         data = _write_normal_csv(tmp_path / "x.csv", n=30, d=1)
         main(["test", "--input", data, "--a", "0.5", "--reps", "100", "--workers", "1"])
@@ -81,6 +110,18 @@ class TestTestCommand:
         text = cli._render_rows("table", ["x"], [[v] for v in (1e-5, 1 / 100001, 5e-5, 0.0, 0.5, 999999.9, 1e200)])
         assert text.split() == ["x", "1.0000e-05", "9.9999e-06", "0.0001", "0.0000", "0.5000", "999999.9000",
                                 "1.0000e+200"]
+
+    @pytest.mark.parametrize("command", [
+        ["test", "--input", str(IRIS), "--header", "--a", "1", "--reps", "3000"],
+        ["crit-table", "--d", "2", "--n", "20", "--a", "1", "--reps", "3000"],
+    ], ids=["test", "crit-table"])
+    def test_output_into_a_missing_directory_refused_first(self, tmp_path, capsys, command):
+        # refused before the simulation, not after it
+        target = tmp_path / "missing" / "x.json"
+        assert main([*command, "--workers", "1", "--output", str(target)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --output {target}: directory {target.parent} does not exist\n"
+        )
 
     def test_missing_file_errors(self, capsys):
         assert main(["test", "--input", "/nonexistent.csv", "--a", "1"]) == 1
@@ -286,8 +327,11 @@ class TestPowerCommand:
             (["--a", "0.1234567", "--a", "0.1234568", "--competitor", "bhep", "--competitor", "bhep:1",
               "--crit-reps", "50", "--format", "json"],
              "power column t:0.123457 is asked for 2 times: one label per column"),
+            # both rows would draw from the one row key (ALT, d, n): the same row twice
+            (["--a", "1", "--alt", "nmix(0.1)", "--alt", "nmix(0.1,0)"],
+             "alternatives nmix(p=0.1) and nmix(p=0.1,mu=0.0) draw the same law: one row per law"),
         ],
-        ids=["crit-reps-0", "bcmr-tuned", "hvinf-tuned", "no-column", "repeated-label"],
+        ids=["crit-reps-0", "bcmr-tuned", "hvinf-tuned", "no-column", "repeated-label", "same-law"],
     )
     def test_ignored_input_refused_before_any_simulation(self, capsys, flags, message):
         # the one line on stderr is the error: no critical value was simulated

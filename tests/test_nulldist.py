@@ -155,6 +155,15 @@ class TestMcNullSample:
         resumed_other = mc_null_sample(1, 12, 1.0, 120, 9, workers=1, checkpoint=path)
         np.testing.assert_array_equal(resumed_other, mc_null_sample(1, 12, 1.0, 120, 9))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tuple_of_a_is_each_a_alone(self, workers):
+        # one draw for every a; column c is the sorted sample of a[c] on its own, bit for bit
+        a_list = (0.25, 1.0, 10.0)
+        block = mc_null_sample(3, 20, a_list, 300, 13, workers=workers)
+        assert block.shape == (300, 3)
+        for c, a in enumerate(a_list):
+            np.testing.assert_array_equal(block[:, c], mc_null_sample(3, 20, a, 300, 13, workers=workers))
+
 
 BLOCK_ALTS = ("std", "mt:nu=5", "nmix:p=0.1,mu=3,sigma=I", "prod:uniform")  # sigma=1 at d=1
 # (d, n, replications): the kernel's sub-stacks of 26 at n=50 and of 2 at
@@ -371,6 +380,16 @@ class TestPvalue:
         # no replicate is >= nan, which would otherwise read as the strongest rejection, 1/(R+1)
         with pytest.raises(ValueError, match="nan"):
             pvalue_mc(float("nan"), 1, 10, 1.0, 99, 0)
+
+    @pytest.mark.parametrize("cell", [(31, 2, 0.5), (30, 3, 0.5), (30, 2, 5.0)], ids=["n", "d", "a"])
+    def test_statistic_of_another_cell_refused(self, cell):
+        # T at (30, 2, 0.5) read against another cell's null gives a p-value of no test
+        stat = t_statistic(scaled_residuals(make_rng(8).standard_normal((30, 2))), 0.5)
+        n, d, a = cell
+        message = f"observed statistic is at (n=30, d=2, a=0.5), the null at (n={n}, d={d}, a={a:g})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pvalue_mc(stat, d, n, a, 99, 0)
+        assert 0.0 < pvalue_mc(stat, 2, 30, 0.5, 99, 0) <= 1.0
 
     def test_matches_manual_count(self):
         null = mc_null_sample(1, 10, 1.0, 199, 4)

@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import os
 import pathlib
@@ -41,6 +42,28 @@ def test_power_study_alternatives_parse():
     study = _load("power_study", "scripts/power_study.py")
     for text in study.MULTIVARIATE_ALTS + study.UNIVARIATE_ALTS:
         parse_spec(text)
+
+
+_T_COLUMNS = "t:0.1,t:0.25,t:0.5,t:1,t:2,t:3,t:5,t:10"
+
+
+@pytest.mark.parametrize("flags,alts,header", [
+    (["--d", "2"], "MULTIVARIATE_ALTS", f"alternative,{_T_COLUMNS},bhep:0.5,bhep:1,hv:5,hv_inf,hjg:1.5"),
+    (["--d", "1", "--univariate"], "UNIVARIATE_ALTS", f"alternative,{_T_COLUMNS},bhep:1,bcmr,be:1"),
+], ids=["multivariate", "univariate"])
+def test_power_study_runs_small(tmp_path, flags, alts, header):
+    out = tmp_path / "power.csv"
+    _run_script("power_study.py", [*flags, "--n", "12", "--reps", "20", "--crit-reps", "40", "--workers", "1",
+                                   "--out", str(out)], hashseed=0)
+    assert out.read_text().splitlines()[0] == header
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))
+    study = _load("power_study", "scripts/power_study.py")
+    labels = [parse_spec(text).label() for text in getattr(study, alts)]
+    assert len(labels) == 16
+    # a label holding a comma is quoted, so each row keeps one field per column
+    assert [row[0] for row in rows[1:]] == labels
+    assert {len(row) for row in rows} == {len(header.split(","))}
 
 
 def test_benchmark_tracing_boundaries_resolve():
