@@ -4,7 +4,7 @@ Subcommands: test | crit-table | power | delta-ci | validate | limit-quantile.
 Human-readable tables go to stdout (--format table, the default); csv/json
 render machine output to stdout and, with --output, to a file.  Reruns with
 identical flags and seed produce byte-identical primary output; the worker
-count (--workers, overridden by NORMTEST_THREADS) never affects values.
+count (--workers) never affects values.
 Progress goes to stderr.
 """
 
@@ -55,18 +55,20 @@ def _table_cell(v) -> str:
     return f"{v:.4e}" if v != 0.0 and not 5e-5 <= abs(v) < 1e6 else f"{v:.4f}"
 
 
-def _render_rows(fmt: str, header: list[str], rows: list[list]) -> str:
+def _render_rows(fmt: str, rows: list[dict]) -> str:
+    """``rows``, dicts of one set of keys, as csv, json or an aligned table; the header is the first row's keys."""
+    header = list(rows[0])
     if fmt == "csv":
         # quoted where a field holds a comma, as a label like nmix(p=0.1,mu=3.0,sigma=I) does
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row.values()] for row in rows)
         return buf.getvalue()
     if fmt == "json":
-        return json.dumps([dict(zip(header, row)) for row in rows], indent=2, sort_keys=True) + "\n"
+        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
     # aligned human table
-    cells = [header] + [[_table_cell(v) for v in row] for row in rows]
+    cells = [header] + [[_table_cell(v) for v in row.values()] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
     lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
     return "\n".join(lines) + "\n"
@@ -87,7 +89,7 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 
 
 def _add_workers(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=_count, default=0, help="0 = all cores; NORMTEST_THREADS overrides")
+    p.add_argument("--workers", type=_count, default=0, help="0 = the CPUs this process may use")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -146,8 +148,7 @@ def cmd_test(args) -> int:
                 "reject": pval <= args.alpha,
             }
         )
-    header = list(rows[0].keys())
-    _emit(args, _render_rows(args.format, header, [[r[k] for k in header] for r in rows]))
+    _emit(args, _render_rows(args.format, rows))
     return 0
 
 
@@ -157,32 +158,28 @@ def _parse_n(value: str) -> float:
 
 def cmd_crit_table(args) -> int:
     _check_run_config(args)
-    cells = sorted(set(itertools.product(args.d, args.n, args.a)))
+    _check_distinct("--d", args.d)
+    _check_distinct("--n", args.n)
+    _check_distinct("--a", args.a)
+    cells = list(itertools.product(args.d, args.n, args.a))
     for d, n, a in cells:
         _check_cell(d, n, a)
     rows = []
     for d, n, a in cells:
         if math.isinf(n):
+            # the limit sampler's ell draws, not --reps, make this row
             config = LimitSamplerConfig(seed=derive_seed(args.seed, LIMIT, d, float_key(a)))
-            q = limit_quantile(d, a, args.alpha, config)
+            q, reps = limit_quantile(d, a, args.alpha, config), config.ell
         else:
             q = power_mod.t_critical_value(
                 d, n, a, args.alpha, args.reps, args.seed, workers=args.workers,
                 checkpoint=args.checkpoint, progress=True,
             )
+            reps = args.reps
         _progress(f"d={d} n={n} a={a:g}: quantile {q:.4f}")
         rows.append({"d": d, "n": "inf" if math.isinf(n) else n, "a": a, "alpha": args.alpha, "quantile": q,
-                     "replications": args.reps, "seed": args.seed})
-    if args.format == "json":
-        table = {"entries": rows, "replications": args.reps, "seed": args.seed}
-        text = json.dumps(table, indent=2, sort_keys=True) + "\n"
-    else:
-        # the table format leaves out the columns that repeat the flags
-        header = ["d", "n", "a", "alpha", "quantile"]
-        if args.format == "csv":
-            header += ["replications", "seed"]
-        text = _render_rows(args.format, header, [[r[k] for k in header] for r in rows])
-    _emit(args, text)
+                     "replications": reps, "seed": args.seed})
+    _emit(args, _render_rows(args.format, rows))
     return 0
 
 
@@ -203,14 +200,17 @@ def cmd_power(args) -> int:
         workers=args.workers,
         progress=_progress,
     )
-    header = ["alternative"] + columns
-    body = [[alt.label()] + row for alt, row in zip(alts, rows)]
-    _emit(args, _render_rows(args.format, header, body))
+    body = [{"alternative": alt.label(), **dict(zip(columns, row))} for alt, row in zip(alts, rows)]
+    _emit(args, _render_rows(args.format, body))
     return 0
 
 
 def _estimate(args):
     check_alpha(args.alpha)
+    # delta-ci's interval takes z at 1 - alpha/2, validate's threshold z at 1 - alpha
+    tail = args.alpha / 2.0 if args.command == "delta-ci" else args.alpha
+    if 1.0 - tail == 1.0:
+        raise ValueError(f"--alpha {args.alpha:g} is too small: 1 - {tail:g} rounds to 1, where z is infinite")
     data = load_csv(args.input, delimiter=args.delimiter, header=args.header)
     return delta_estimate(scaled_residuals(data), args.a)
 
@@ -222,8 +222,7 @@ def _emit_estimate(args, est, name: str, result, table: str) -> None:
     elif args.format == "json":
         text = json.dumps({"estimate": asdict(est), name: asdict(result)}, indent=2, sort_keys=True) + "\n"
     else:
-        row = asdict(est) | asdict(result)
-        text = _render_rows("csv", list(row), [list(row.values())])
+        text = _render_rows("csv", [asdict(est) | asdict(result)])
     _emit(args, text)
 
 
@@ -262,10 +261,10 @@ def cmd_limit_quantile(args) -> int:
     rows = []
     for d, a in itertools.product(args.d, args.a):
         q = limit_quantile(d, a, args.alpha, cfg)
-        rows.append([d, a, args.alpha, args.m, args.ell, args.seed, q])
+        rows.append({"d": d, "a": a, "alpha": args.alpha, "m": args.m, "ell": args.ell, "seed": args.seed,
+                     "quantile": q})
         _progress(f"d={d} a={a:g}: limit quantile {q:.4f}")
-    header = ["d", "a", "alpha", "m", "ell", "seed", "quantile"]
-    _emit(args, _render_rows(args.format, header, rows))
+    _emit(args, _render_rows(args.format, rows))
     return 0
 
 

@@ -303,12 +303,12 @@ class ConfidenceInterval:
 
 
 def _z(p: float) -> float:
-    """The standard normal p-quantile for p in [1/2, 1], inf at 1 as ndtri gives it.
+    """The standard normal p-quantile for p in [1/2, 1); p = 1 raises ``statistics.StatisticsError``.
 
     The standard library's quantile agrees with scipy's ndtri to about 1e-15
     relative, and spares delta-ci and validate the import of scipy.special.
     """
-    return math.inf if p == 1.0 else NormalDist().inv_cdf(p)
+    return NormalDist().inv_cdf(p)
 
 
 def confidence_interval(est: DeltaEstimate, alpha: float) -> ConfidenceInterval:

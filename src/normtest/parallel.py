@@ -34,8 +34,6 @@ import numpy as np
 # inherited by a pool's forked workers, which would each import it otherwise.
 import numpy.random  # noqa: F401
 
-ENV_WORKERS = "NORMTEST_THREADS"
-
 # Checkpoint granularity for long runs (completed-prefix replications).
 CHECKPOINT_EVERY = 10_000
 
@@ -62,21 +60,13 @@ def float_key(x: float) -> int:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Worker count: NORMTEST_THREADS overrides the argument; 0 or None means all cores.
-
-    A negative count, from either source, is refused.
-    """
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = -1
-        if workers < 0:
-            raise ValueError(f"{ENV_WORKERS} must be a non-negative integer, got {env!r}")
+    """Worker count: ``workers``, or with 0 or None the CPUs this process may run on; a negative one is refused."""
     if workers is not None and workers < 0:
         raise ValueError(f"workers must be a non-negative integer, got {workers}")
-    return workers or max(1, os.cpu_count() or 1)
+    if workers:
+        return workers
+    # the affinity mask where the platform has one: under taskset -c 0 that is 1 CPU, whatever cpu_count says
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 # numpy's SeedSequence hash constants (pool of four 32-bit words) and the

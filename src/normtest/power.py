@@ -20,7 +20,7 @@ import numpy as np
 from .competitors import _TABLE, CompetitorSpec
 from .nulldist import _NULL, Column, _cell, _check_cell, critical_value, mc_null_sample
 from .parallel import ALT, CRIT, derive_seed, float_key
-from .samplers import AlternativeSpec
+from .samplers import AlternativeSpec, _nmix_factor
 
 
 def _cell_seed(seed: int, purpose: int, d: int, n: int, column: Column | None = None) -> int:
@@ -44,9 +44,13 @@ def _power_row(
     return _cell(alt, d, n, columns, replications, _cell_seed(seed, ALT, d, n), workers=workers)
 
 
-def _law(alt: AlternativeSpec) -> tuple:
-    """What ``alt`` draws: its kind, its values with defaults filled in, and its base's law."""
-    return alt.kind, alt.values, alt.base and _law(alt.base)
+def _law(alt: AlternativeSpec, d: int) -> tuple:
+    """What ``alt`` draws at ``d``: its kind, its values with defaults filled in (nmix's sigma as the covariance
+    factor it draws with, so ``sigma=I`` and ``sigma=1`` are one law at d >= 2), and its base's law at d = 1."""
+    values = alt.values
+    if alt.kind == "nmix":
+        values = (*values[:2], _nmix_factor(values[2], d).tobytes())
+    return alt.kind, values, alt.base and _law(alt.base, 1)
 
 
 def _rate(values: np.ndarray, crit: float) -> float:
@@ -126,7 +130,7 @@ def power_matrix(
     for label in columns:
         if (count := columns.count(label)) > 1:
             raise ValueError(f"power column {label} is asked for {count} times: one label per column")
-    laws = [_law(alt) for alt in alternatives]
+    laws = [_law(alt, d) for alt in alternatives]
     for i, j in itertools.combinations(range(len(alternatives)), 2):
         if laws[i] == laws[j]:
             # one row key (ALT, d, n) for both: the same draws, the same row twice

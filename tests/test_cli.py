@@ -60,17 +60,6 @@ class TestTestCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_workers_env_override_does_not_change_values(self, tmp_path, monkeypatch):
-        data = _write_normal_csv(tmp_path / "x.csv")
-        out1 = tmp_path / "a.json"
-        main(["test", "--input", data, "--a", "1.0", "--reps", "200",
-              "--seed", "3", "--format", "json", "--output", str(out1), "--workers", "1"])
-        monkeypatch.setenv("NORMTEST_THREADS", "4")
-        out2 = tmp_path / "b.json"
-        main(["test", "--input", data, "--a", "1.0", "--reps", "200",
-              "--seed", "3", "--format", "json", "--output", str(out2), "--workers", "1"])
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_one_draw_for_every_a(self, monkeypatch, capsys):
         # R draws for three a, not 3R, and one progress line; each row is its a run alone
         draws = []
@@ -107,7 +96,7 @@ class TestTestCommand:
         assert "p_value" in out and "statistic" in out
 
     def test_table_prints_small_and_huge_floats_in_exponent_form(self):
-        text = cli._render_rows("table", ["x"], [[v] for v in (1e-5, 1 / 100001, 5e-5, 0.0, 0.5, 999999.9, 1e200)])
+        text = cli._render_rows("table", [{"x": v} for v in (1e-5, 1 / 100001, 5e-5, 0.0, 0.5, 999999.9, 1e200)])
         assert text.split() == ["x", "1.0000e-05", "9.9999e-06", "0.0001", "0.0000", "0.5000", "999999.9000",
                                 "1.0000e+200"]
 
@@ -154,7 +143,7 @@ class TestCritTable:
         assert main(args) == 0
         first = out.read_bytes()
         obj = json.loads(first)
-        assert {e["a"] for e in obj["entries"]} == {1.0, 2.0}
+        assert [e["a"] for e in obj] == [1.0, 2.0]
         assert main(args) == 0
         assert out.read_bytes() == first
 
@@ -172,6 +161,28 @@ class TestCritTable:
             f"1,inf,1.0,0.05,{q!r},100000,0",
         ]
 
+    def test_inf_row_reports_the_sampler_draws(self, monkeypatch, capsys):
+        # an n = inf row comes from the limit sampler's ell draws; --reps plays no part in it
+        monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha, config: 1.5)
+        argv = ["crit-table", "--d", "1", "--n", "12", "--n", "inf", "--a", "1", "--reps", "500", "--workers", "1",
+                "--format", "csv"]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(n, reps) for _d, n, _a, _alpha, _q, reps, _seed in rows] == [("12", "500"), ("inf", "100000")]
+
+    def test_rows_in_flag_order_with_every_column(self, capsys):
+        argv = ["crit-table", "--d", "2", "--d", "1", "--n", "20", "--n", "12", "--a", "1", "--reps", "100",
+                "--seed", "3", "--workers", "1", "--format"]
+        assert main([*argv, "csv"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[:2] for line in lines] == [["2", "20"], ["2", "12"], ["1", "20"], ["1", "12"]]
+        assert main([*argv, "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [list(row) for row in rows] == [sorted(header.split(","))] * 4
+        assert [[str(row[k]) for k in header.split(",")] for row in rows] == [line.split(",") for line in lines]
+        assert main([*argv, "table"]) == 0
+        assert capsys.readouterr().out.split("\n")[0].split() == header.split(",")
+
     def test_inf_row_defaults_its_limit_flags(self, monkeypatch):
         configs = []
         monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha, config: configs.append(config) or 1.0)
@@ -182,30 +193,18 @@ class TestCritTable:
         monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha, config: 0.625)
         assert main(["crit-table", "--d", "2", "--n", "inf", "--a", "3", "--seed", "5", "--format", "json"]) == 0
         assert capsys.readouterr().out == (
-            '{\n'
-            '  "entries": [\n'
-            '    {\n'
-            '      "a": 3.0,\n'
-            '      "alpha": 0.05,\n'
-            '      "d": 2,\n'
-            '      "n": "inf",\n'
-            '      "quantile": 0.625,\n'
-            '      "replications": 100000,\n'
-            '      "seed": 5\n'
-            '    }\n'
-            '  ],\n'
-            '  "replications": 100000,\n'
-            '  "seed": 5\n'
-            '}\n'
+            '[\n'
+            '  {\n'
+            '    "a": 3.0,\n'
+            '    "alpha": 0.05,\n'
+            '    "d": 2,\n'
+            '    "n": "inf",\n'
+            '    "quantile": 0.625,\n'
+            '    "replications": 100000,\n'
+            '    "seed": 5\n'
+            '  }\n'
+            ']\n'
         )
-
-    def test_repeated_cell_computed_once(self, capsys):
-        args = ["crit-table", "--d", "1", "--n", "12", "--n", "12", "--a", "1.0", "--reps", "200", "--format", "csv",
-                "--workers", "1"]
-        assert main(args) == 0
-        out, err = capsys.readouterr()
-        assert len(out.splitlines()) == 2  # the header and one row
-        assert err.count("quantile") == 1
 
     def test_checkpoint_directory(self, tmp_path):
         out = tmp_path / "t.json"
@@ -233,9 +232,9 @@ class TestCritTable:
         capsys.readouterr()
         main(base + ["--n", "12", "--n", "16"])
         second = json.loads(out.read_text())
-        assert len(second["entries"]) == 2
-        e12 = [e for e in second["entries"] if e["n"] == 12][0]
-        assert e12 == first["entries"][0]
+        assert len(second) == 2
+        e12 = [e for e in second if e["n"] == 12][0]
+        assert e12 == first[0]
         assert capsys.readouterr().err.count("resumed 400/400 replications") == 1
 
     def test_checkpoint_serves_another_alpha_and_format(self, tmp_path, capsys):
@@ -330,13 +329,24 @@ class TestPowerCommand:
             # both rows would draw from the one row key (ALT, d, n): the same row twice
             (["--a", "1", "--alt", "nmix(0.1)", "--alt", "nmix(0.1,0)"],
              "alternatives nmix(p=0.1) and nmix(p=0.1,mu=0.0) draw the same law: one row per law"),
+            # at d >= 2 the named covariance I and the variance 1 give one Cholesky factor, so one draw
+            (["--d", "2", "--a", "1", "--alt", "nmix:p=0.1,sigma=I", "--alt", "nmix:p=0.1,sigma=1"],
+             "alternatives nmix(p=0.1,sigma=I) and nmix(p=0.1,sigma=1.0) draw the same law: one row per law"),
         ],
-        ids=["crit-reps-0", "bcmr-tuned", "hvinf-tuned", "no-column", "repeated-label", "same-law"],
+        ids=["crit-reps-0", "bcmr-tuned", "hvinf-tuned", "no-column", "repeated-label", "same-law",
+             "same-law-covariance"],
     )
     def test_ignored_input_refused_before_any_simulation(self, capsys, flags, message):
         # the one line on stderr is the error: no critical value was simulated
         code = main(["power", "--alt", "std", "--d", "1", "--n", "20", "--reps", "50", "--workers", "1", *flags])
         assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+
+    def test_two_covariances_are_two_laws(self, capsys):
+        argv = ["power", "--alt", "nmix:p=0.1,sigma=Bd", "--alt", "nmix:p=0.1,sigma=1", "--d", "2", "--n", "20",
+                "--a", "1", "--reps", "20", "--crit-reps", "20", "--workers", "1", "--format", "json"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["alternative"] for row in rows] == ["nmix(p=0.1,sigma=Bd)", "nmix(p=0.1,sigma=1.0)"]
 
     @pytest.mark.parametrize("comp", ["be", "bcmr"])
     def test_univariate_competitor_refused_at_d2(self, capsys, comp):
@@ -496,11 +506,25 @@ _SECOND_A = "tuning parameter a must be a positive finite real, got -1.0"
          "--a 1 is given 2 times: one row per value"),
         (["limit-quantile", "--d", "1", "--d", "1", "--a", "1", "--m", "20", "--ell", "100"],
          "--d 1 is given 2 times: one row per value"),
+        (["crit-table", "--d", "1", "--d", "1", "--n", "12", "--a", "1", "--reps", "20", "--workers", "1"],
+         "--d 1 is given 2 times: one row per value"),
+        (["crit-table", "--d", "1", "--n", "12", "--n", "12", "--a", "1", "--reps", "20", "--workers", "1"],
+         "--n 12 is given 2 times: one row per value"),
+        (["crit-table", "--d", "1", "--n", "inf", "--n", "inf", "--a", "1"],
+         "--n inf is given 2 times: one row per value"),
+        (["crit-table", "--d", "1", "--n", "12", "--a", "1", "--a", "1.0", "--reps", "20", "--workers", "1"],
+         "--a 1 is given 2 times: one row per value"),
+        # z at 1 - alpha/2 (delta-ci) or 1 - alpha (validate) is infinite where that p rounds to 1
+        (["delta-ci", "--input", str(IRIS), "--header", "--a", "1", "--alpha", "1e-17", "--format", "json"],
+         "--alpha 1e-17 is too small: 1 - 5e-18 rounds to 1, where z is infinite"),
+        (["validate", "--input", str(IRIS), "--header", "--a", "1", "--delta0", "0.5", "--alpha", "1e-17",
+          "--format", "json"], "--alpha 1e-17 is too small: 1 - 1e-17 rounds to 1, where z is infinite"),
     ],
     ids=["crit-table-second-a", "limit-quantile-second-a", "test-second-a", "power-univariate-competitor",
          "power-univariate-alternative", "limit-quantile-m", "power-non-numeric-tuning", "delta-ci-alpha",
          "validate-delta0", "power-nmix-matrix-sigma-at-d1", "test-repeated-a", "limit-quantile-repeated-a",
-         "limit-quantile-repeated-d"],
+         "limit-quantile-repeated-d", "crit-table-repeated-d", "crit-table-repeated-n", "crit-table-repeated-inf",
+         "crit-table-repeated-a", "delta-ci-tiny-alpha", "validate-tiny-alpha"],
 )
 def test_late_input_refused_before_any_simulation(capsys, monkeypatch, argv, message):
     # stderr holds the error alone: no progress, critical-value or quantile line came before it
@@ -587,7 +611,7 @@ def test_checkpoint_rerun_in_a_fresh_process_resumes(tmp_path):
 
 def _run_python(script: str, *argv: str) -> str:
     """Standard output of ``script`` run in a fresh interpreter on the package in src/."""
-    env = {k: v for k, v in os.environ.items() if k != "NORMTEST_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
                           timeout=120)

@@ -218,33 +218,25 @@ class TestCheckpoint:
 
 
 class TestWorkerResolution:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(parallel.ENV_WORKERS, "3")
-        assert parallel.resolve_workers(8) == 3
-        monkeypatch.delenv(parallel.ENV_WORKERS)
+    def test_positive_argument_is_the_count(self):
         assert parallel.resolve_workers(8) == 8
         assert parallel.resolve_workers(1) == 1
 
-    @pytest.mark.parametrize("value", ["abc", "-4", "2.5"])
-    def test_bad_env_names_the_variable(self, monkeypatch, value):
-        monkeypatch.setenv(parallel.ENV_WORKERS, value)
-        with pytest.raises(ValueError, match=parallel.ENV_WORKERS):
-            parallel.resolve_workers(1)
-
-    def test_negative_argument_refused(self, monkeypatch):
-        monkeypatch.delenv(parallel.ENV_WORKERS, raising=False)
+    def test_negative_argument_refused(self):
         with pytest.raises(ValueError, match="workers must be a non-negative integer, got -3"):
             parallel.resolve_workers(-3)
 
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.delenv(parallel.ENV_WORKERS, raising=False)
+    def test_zero_means_auto(self):
         assert parallel.resolve_workers(0) >= 1
         assert parallel.resolve_workers(None) >= 1
 
-    def test_env_zero_means_all_cores_as_the_argument_does(self, monkeypatch):
-        cores = max(1, os.cpu_count() or 1)
-        monkeypatch.delenv(parallel.ENV_WORKERS, raising=False)
-        assert parallel.resolve_workers(0) == cores
-        monkeypatch.setenv(parallel.ENV_WORKERS, "0")
-        assert parallel.resolve_workers(1) == cores
-        assert parallel.resolve_workers(None) == cores
+    def test_zero_means_the_cpus_this_process_may_use(self, monkeypatch):
+        # taskset -c 0 leaves one CPU in the affinity mask, whatever os.cpu_count() says
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert parallel.resolve_workers(0) == parallel.resolve_workers(None) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert parallel.resolve_workers(0) == 3
+        # a platform with no affinity mask counts every CPU
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert parallel.resolve_workers(0) == 8
