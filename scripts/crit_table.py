@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce the 0.95 critical value table for the scaled statistic.
 
-Runs a full (d, n, a) grid including the limit-sampler rows, and writes the JSON table to --out.  Restartable: the
-null simulations are checkpointed in the directory <--out>.checkpoint, so a rerun with the same arguments simulates
-only the finite-n cells it lacks (the n = inf rows, about 1 s each, are recomputed).  The table is written at the end.
+Runs a full (d, n, a) grid including the n = inf rows of the exact limit law, and writes the JSON table to --out.
+Restartable: the null simulations are checkpointed in the directory <--out>.checkpoint, so a rerun with the same
+arguments simulates only the finite-n cells it lacks (the n = inf rows, well under 1 s each, are recomputed).  The
+table is written at the end.
 
     python scripts/crit_table.py --reps 100000 --out crit_table.json
 """

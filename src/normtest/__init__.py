@@ -27,11 +27,11 @@ from .inference import (
     z_n,
 )
 from .nulldist import (
-    KernelNotPSD,
     LimitSamplerConfig,
     critical_value,
     expected_limit,
     kernel_K,
+    limit_eigenvalues,
     limit_quantile,
     mc_null_sample,
     pvalue_mc,
@@ -61,7 +61,6 @@ __all__ = [
     "CompetitorSpec",
     "ConfidenceInterval",
     "DeltaEstimate",
-    "KernelNotPSD",
     "LimitSamplerConfig",
     "PsiBundle",
     "QuadratureSpec",
@@ -83,6 +82,7 @@ __all__ = [
     "hv",
     "hv_inf",
     "kernel_K",
+    "limit_eigenvalues",
     "limit_quantile",
     "load_csv",
     "m_func",

@@ -22,16 +22,8 @@ from dataclasses import asdict
 
 from . import power as power_mod
 from .competitors import parse_competitor
-from .inference import check_delta0, confidence_interval, delta_estimate, validation_test
-from .nulldist import (
-    LimitSamplerConfig,
-    _check_cell,
-    _pvalue,
-    critical_value,
-    limit_quantile,
-    mc_null_sample,
-)
-from .parallel import LIMIT, derive_seed, float_key
+from .inference import check_delta0, check_z_alpha, confidence_interval, delta_estimate, validation_test
+from .nulldist import _check_cell, _pvalue, critical_value, limit_quantile, mc_null_sample
 from .samplers import parse_spec
 from .standardize import load_csv, scaled_residuals
 from .statistic import check_alpha, t_statistic
@@ -167,9 +159,8 @@ def cmd_crit_table(args) -> int:
     rows = []
     for d, n, a in cells:
         if math.isinf(n):
-            # the limit sampler's ell draws, not --reps, make this row
-            config = LimitSamplerConfig(seed=derive_seed(args.seed, LIMIT, d, float_key(a)))
-            q, reps = limit_quantile(d, a, args.alpha, config), config.ell
+            # the exact limit law: nothing is simulated, so --reps plays no part
+            q, reps = limit_quantile(d, a, args.alpha), 0
         else:
             q = power_mod.t_critical_value(
                 d, n, a, args.alpha, args.reps, args.seed, workers=args.workers,
@@ -206,11 +197,8 @@ def cmd_power(args) -> int:
 
 
 def _estimate(args):
-    check_alpha(args.alpha)
     # delta-ci's interval takes z at 1 - alpha/2, validate's threshold z at 1 - alpha
-    tail = args.alpha / 2.0 if args.command == "delta-ci" else args.alpha
-    if 1.0 - tail == 1.0:
-        raise ValueError(f"--alpha {args.alpha:g} is too small: 1 - {tail:g} rounds to 1, where z is infinite")
+    check_z_alpha(args.alpha, args.command == "delta-ci", "--alpha")
     data = load_csv(args.input, delimiter=args.delimiter, header=args.header)
     return delta_estimate(scaled_residuals(data), args.a)
 
@@ -257,12 +245,10 @@ def cmd_limit_quantile(args) -> int:
     _check_distinct("--a", args.a)
     for d, a in itertools.product(args.d, args.a):
         _check_cell(d, math.inf, a)
-    cfg = LimitSamplerConfig(m=args.m, ell=args.ell, seed=args.seed)
     rows = []
     for d, a in itertools.product(args.d, args.a):
-        q = limit_quantile(d, a, args.alpha, cfg)
-        rows.append({"d": d, "a": a, "alpha": args.alpha, "m": args.m, "ell": args.ell, "seed": args.seed,
-                     "quantile": q})
+        q = limit_quantile(d, a, args.alpha)
+        rows.append({"d": d, "a": a, "alpha": args.alpha, "quantile": q})
         _progress(f"d={d} a={a:g}: limit quantile {q:.4f}")
     _emit(args, _render_rows(args.format, rows))
     return 0
@@ -324,13 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("limit-quantile", help="quantile of the limiting null distribution")
+    p = sub.add_parser(
+        "limit-quantile",
+        help="quantile of the limiting null distribution, from its exact eigenvalues (no simulation)",
+    )
     p.add_argument("--d", type=int, action="append", required=True)
     p.add_argument("--a", type=float, action="append", required=True)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--m", type=int, default=1000)
-    p.add_argument("--ell", type=int, default=100_000)
-    _add_seed(p)
+    # the deleted sampler's flags, parsed and ignored until ROADMAP item 1 frees the benchmark from them
+    for flag in ("--m", "--ell", "--seed"):
+        p.add_argument(flag, type=int, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_limit_quantile)
 

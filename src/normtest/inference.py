@@ -311,8 +311,19 @@ def _z(p: float) -> float:
     return NormalDist().inv_cdf(p)
 
 
+def check_z_alpha(alpha: float, two_sided: bool, name: str = "alpha") -> float:
+    """Validate alpha as :func:`check_alpha` does, and refuse one whose normal
+    quantile at 1 - alpha/2 (``two_sided``) or 1 - alpha is infinite, naming it
+    as ``name``."""
+    alpha = check_alpha(alpha)
+    tail = alpha / 2.0 if two_sided else alpha
+    if 1.0 - tail == 1.0:
+        raise ValueError(f"{name} {alpha:g} is too small: 1 - {tail:g} rounds to 1, where z is infinite")
+    return alpha
+
+
 def confidence_interval(est: DeltaEstimate, alpha: float) -> ConfidenceInterval:
-    check_alpha(alpha)
+    check_z_alpha(alpha, two_sided=True)
     half = _z(1.0 - alpha / 2.0) * est.sigma_hat / np.sqrt(est.n)
     return ConfidenceInterval(lower=est.delta_hat - half, upper=est.delta_hat + half, alpha=alpha)
 
@@ -341,7 +352,7 @@ def check_delta0(delta0: float) -> None:
 def validation_test(est: DeltaEstimate, delta0: float, alpha: float) -> ValidationResult:
     """Reject H: Delta_a >= delta0 iff T/n <= delta0 - (sigma/sqrt n) z_{1-alpha}."""
     check_delta0(delta0)
-    check_alpha(alpha)
+    check_z_alpha(alpha, two_sided=False)
     threshold = delta0 - est.sigma_hat / np.sqrt(est.n) * _z(1.0 - alpha)
     return ValidationResult(
         reject=bool(est.delta_hat <= threshold), threshold=float(threshold), delta0=delta0, alpha=alpha

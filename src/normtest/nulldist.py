@@ -3,9 +3,18 @@
 Monte Carlo critical values and p-values are exact parametric simulations:
 affine invariance makes the null distribution parameter free, so sampling
 from the standard normal suffices.  The large-sample regime is served by the
-covariance kernel K of the limiting Gaussian process, a sampler for the
-limiting distribution at finitely many random support points, and the closed
-form of the limit mean E(T_inf).
+covariance kernel K of the limiting Gaussian process, the closed form of the
+limit mean E(T_inf), and the limit law itself, computed without simulation.
+
+The scaled statistic tends under H0 to sum_i lambda_i chi^2_1, where the
+lambda_i are the eigenvalues of K's covariance operator under N(0, (2a)^{-1} I),
+divided by d^2.  K and that measure are rotation invariant, so by Funk-Hecke
+the operator splits by spherical-harmonic degree l: degree l contributes the
+eigenvalues of one radial matrix, each with the multiplicity of the degree-l
+harmonics (:func:`limit_eigenvalues`).  The quantile of the law comes from
+inverting its characteristic function with a stated error bound
+(:func:`limit_quantile`; Imhof, Biometrika 48, 1961; Davies, Biometrika 60,
+1973).
 """
 
 from __future__ import annotations
@@ -24,10 +33,6 @@ from .standardize import _whiten, check_not_simplex, check_sample_size
 from .statistic import StatisticValue, _scaled_t, check_alpha, check_range, check_tuning, scaling_factor
 
 
-class KernelNotPSD(ValueError):
-    """Kernel matrix is indefinite beyond what roundoff repair can explain."""
-
-
 def kernel_K(s, t, d: int | None = None) -> float:
     """Covariance kernel K(s, t) of the limiting Gaussian process under H0."""
     s = np.asarray(s, dtype=float).ravel()
@@ -36,27 +41,25 @@ def kernel_K(s, t, d: int | None = None) -> float:
         d = s.size
     if s.size != d or t.size != d:
         raise ValueError("s and t must be d-vectors")
-    return float(_kernel_matrix(np.vstack([s, t]), d)[0, 1])
+    return float(_kernel(s @ s, t @ t, s @ t, d))
 
 
-def _kernel_matrix(u: np.ndarray, d: int) -> np.ndarray:
-    """K evaluated on all pairs of rows of u, vectorized."""
-    ns = np.einsum("ij,ij->i", u, u)
-    g = u @ u.T
+def _kernel(ns, nt, g, d: int):
+    """K(s, t) from ns = |s|^2, nt = |t|^2 and g = s.t, the only ways it reads
+    its points; the three broadcast against each other."""
     d2, d4 = d + 2.0, d + 4.0
-    dsq = np.maximum(ns[:, None] + ns[None, :] - 2.0 * g, 0.0)
+    dsq = np.maximum(ns + nt - 2.0 * g, 0.0)
     part1 = np.exp(-0.5 * dsq) * ((dsq - d2) ** 2 - 2.0 * d2)
     brace = (
-        -0.5 * g**2 * (ns[:, None] - d4) * (ns[None, :] - d4)
-        + 2.0 * d2 * (ns[:, None] + ns[None, :])
-        - ns[:, None] ** 2
-        - ns[None, :] ** 2
-        - ns[:, None] * ns[None, :]
-        - g * (ns[:, None] - d2) * (ns[None, :] - d2)
+        -0.5 * g**2 * (ns - d4) * (nt - d4)
+        + 2.0 * d2 * (ns + nt)
+        - ns**2
+        - nt**2
+        - ns * nt
+        - g * (ns - d2) * (nt - d2)
         - d * d2
     )
-    psi = np.exp(-0.5 * ns)
-    return part1 + np.outer(psi, psi) * brace
+    return part1 + np.exp(-0.5 * (ns + nt)) * brace
 
 
 def expected_limit(d: int, a: float) -> float:
@@ -240,61 +243,240 @@ def _pvalue(null: np.ndarray, observed: float) -> float:
     return (1.0 + int(np.sum(null >= observed))) / (null.size + 1.0)
 
 
-# Jitter added to the diagonal of the limit sampler's kernel matrix, as a
-# multiple of its mean diagonal entry; every published limit quantile used it.
-_JITTER = 1e-10
 
 
+# The limit law's quadrature.  Its node counts grow by half from _NODES_START
+# until the trace sum m_i lambda_i is within _TRACE_TOL (relative) of
+# expected_limit * scaling_factor; the radial rule stops at _RADIAL_MAX nodes,
+# the cosine rule at _COSINE_MAX, and the degree matrices (degrees x radial x
+# radial) at _ENTRIES_MAX doubles (32 MB), built _CHUNK kernel values at a time.
+_TRACE_TOL = 1e-10
+_NODES_START = 40
+_RADIAL_MAX = 1000
+_COSINE_MAX = 600
+_ENTRIES_MAX = 2**22
+_CHUNK = 2**17
+
+
+def _counts(stop: int):
+    """Node counts from _NODES_START, each half again the last, ending at ``stop``."""
+    n = _NODES_START
+    while n < stop:
+        yield n
+        n += n // 2
+    yield stop
+
+
+def _gauss_rule(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and probability weights of the Gauss rule of a Jacobi matrix (Golub-Welsch)."""
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, vectors[0] ** 2
+
+
+def _radial_rule(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized Gauss-Laguerre rule of n nodes, parameter d/2 - 1: the law of
+    a |t|^2 for t ~ N(0, (2a)^{-1} I), a Gamma(d/2) variable."""
+    i = np.arange(1, n)
+    return _gauss_rule(2.0 * np.arange(n) + d / 2.0, np.sqrt(i * (i + d / 2.0 - 1.0)))
+
+
+def _cosine_rule(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi rule (alpha = beta = (d-3)/2) of n nodes for the cosine of
+    the angle between two uniform directions on S^{d-1}; at d = 1 the two
+    directions are +-1.  The recurrence's first coefficient is 1/d, which at
+    d = 2 (Chebyshev) the general formula leaves as 0/0."""
+    if d == 1:
+        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    k = np.arange(2.0, n)
+    beta = np.concatenate([[1.0 / d], k * (k + d - 3.0) / ((2.0 * k + d - 2.0) * (2.0 * k + d - 4.0))])
+    return _gauss_rule(np.zeros(n), np.sqrt(beta))
+
+
+def _gegenbauer(x: np.ndarray, degrees: int, d: int) -> np.ndarray:
+    """The (degrees, x.size) values P_l(x), l < degrees, of the Gegenbauer
+    polynomials of S^{d-1} normalised to P_l(1) = 1 (Legendre at d = 3)."""
+    p = np.ones((degrees, x.size))
+    if degrees > 1:
+        p[1] = x
+    for l in range(1, degrees - 1):
+        p[l + 1] = ((2 * l + d - 2) * x * p[l] - l * p[l - 1]) / (l + d - 2)
+    return p
+
+
+def _harmonics(l: int, d: int) -> int:
+    """Dimension of the spherical harmonics of degree l on S^{d-1}."""
+    return math.comb(l + d - 1, l) - (math.comb(l + d - 3, l - 2) if l >= 2 else 0)
+
+
+def limit_eigenvalues(d: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the scaled limit law sum_i lambda_i chi^2_1 and their multiplicities.
+
+    Returns ``(lam, mult)``, the positive eigenvalues of K's covariance
+    operator under N(0, (2a)^{-1} I), divided by d^2, in decreasing order, and
+    how often each occurs.  Degree l of the spherical harmonics contributes
+    the eigenvalues of one radial matrix, built from a Gauss-Laguerre rule in
+    a|t|^2 and a Gauss-Jacobi rule in the cosine against P_l, each with
+    multiplicity C(l+d-1, l) - C(l+d-3, l-2).  The node counts grow until
+    sum(mult * lam) is within _TRACE_TOL of the closed-form mean; an ``a``
+    whose law the node budget cannot resolve is refused, naming the trace
+    error reached.
+    """
+    a = _check_cell(d, math.inf, a)
+    d = int(d)
+
+    def refuse(err: float, nodes: str):
+        raise ValueError(
+            f"the limit law at d={d}, a={a:g} is not resolved within its quadrature budget: "
+            f"trace error {err:.1e} (tolerance {_TRACE_TOL:g}) at {nodes}"
+        )
+
+    # the mean and the kernel values overflow at extreme a; the trace check then refuses them
+    with np.errstate(all="ignore"):
+        try:
+            trace = expected_limit(d, a) * scaling_factor(d, a)
+        except OverflowError:  # Python's float ** raises where the result leaves the float range
+            trace = math.nan
+        # the radial rule alone, on the diagonal K(t, t), to half the tolerance
+        for n in _counts(_RADIAL_MAX):
+            u, w = _radial_rule(n, d)
+            r2 = u / a
+            diag = _kernel(r2, r2, r2, d)
+            err = abs(w @ diag / d**2 - trace) / abs(trace)
+            if not err > _TRACE_TOL / 2:
+                break
+        if not err <= _TRACE_TOL / 2:
+            refuse(err, f"{n} radial nodes")
+        # the cosine rule, as many degrees as nodes: sum_l mult_l P_l(x) against K(t, t x) rebuilds K(t, t),
+        # to what the radial error leaves of nine tenths of the tolerance (a tenth is left to roundoff)
+        angular_tol = 0.9 * _TRACE_TOL - err
+        if d == 1:
+            x, v = _cosine_rule(2, d)  # the even and the odd part, exactly
+        else:
+            for m in _counts(min(_ENTRIES_MAX // n**2, _COSINE_MAX)):
+                x, v = _cosine_rule(m, d)
+                z = np.array([_harmonics(l, d) for l in range(m)]) @ _gegenbauer(x, m, d)
+                rebuilt = _kernel(r2[:, None], r2[:, None], r2[:, None] * x, d) @ (v * z)
+                err = w @ np.abs(rebuilt - diag) / d**2 / abs(trace)
+                if not err > angular_tol:
+                    break
+            if not err <= angular_tol:
+                refuse(err, f"{n} radial and {m} cosine nodes")
+        # one radial matrix per degree, accumulated over chunks of cosine nodes
+        degrees = x.size
+        vp = (v * _gegenbauer(x, degrees, d)).T
+        r = np.sqrt(r2)
+        mats = np.zeros((degrees, n, n))
+        step = max(1, _CHUNK // n**2)
+        for lo in range(0, x.size, step):
+            k = _kernel(r2[:, None, None], r2[None, :, None], np.multiply.outer(np.outer(r, r), x[lo : lo + step]), d)
+            mats += np.tensordot(vp[lo : lo + step], k, axes=(0, 2))
+    root = np.sqrt(w) / d
+    mats *= np.outer(root, root)
+    lam = np.linalg.eigvalsh(mats).ravel()
+    mult = np.repeat([_harmonics(l, d) for l in range(degrees)], n)
+    err = abs(mult @ lam - trace) / abs(trace)
+    if not err <= _TRACE_TOL:
+        refuse(err, f"{n} radial and {x.size} cosine nodes")
+    order = np.argsort(lam)[::-1]
+    keep = order[lam[order] > 0.0]
+    return lam[keep], mult[keep]
+
+
+# The inversion's error: at most _CDF_TOL / 2 for every x of the bracket, a
+# quarter of _CDF_TOL spent on the rule's step (aliasing) and a quarter on its
+# truncation, the rest left to roundoff; at most
+# _TERMS_MAX terms; the quantile is bisected to _QUANTILE_TOL relative.
+_CDF_TOL = 1e-10
+_TERMS_MAX = 2**22
+_QUANTILE_TOL = 1e-10
+
+
+def _chernoff(lam: np.ndarray, mult: np.ndarray, alpha: float) -> tuple[float, float, float]:
+    """Chernoff bounds of Q = sum mult_i lam_i chi^2_1: ``(lo, hi, tail)`` with
+    P(Q <= lo) <= 1 - alpha and P(Q > hi) <= alpha, so that lo <= the
+    (1-alpha) quantile <= hi, and P(Q > lo + tail) <= _CDF_TOL / 4.
+    Any t gives a bound; each is taken at the best of a grid of t."""
+    f = np.concatenate([np.geomspace(1e-6, 0.5, 64), 1.0 - np.geomspace(1e-9, 0.5, 64)])
+    t = f / (2.0 * lam[0])  # P(Q > y) <= exp(cgf(t) - t y), 0 < t < 1 / (2 lam_max)
+    cgf = -0.5 * np.log1p(-2.0 * np.multiply.outer(t, lam)) @ mult
+    s = np.geomspace(1e-6, 1e12, 64) / (2.0 * lam[0])  # P(Q <= y) <= exp(s y + lt(s)), s > 0
+    lt = -0.5 * np.log1p(2.0 * np.multiply.outer(s, lam)) @ mult
+    lo = float(np.max((math.log1p(-alpha) - lt) / s))
+    hi = float(np.min((cgf - math.log(alpha)) / t))
+    tail = float(np.min((cgf - math.log(_CDF_TOL / 4.0)) / t)) - lo
+    if not lo > 0.0:
+        raise ValueError(f"alpha={alpha:g} is too close to 1 for the limit law's inversion")
+    return lo, hi, tail
+
+
+def _limit_cdf(lam: np.ndarray, mult: np.ndarray, lo: float, hi: float, tail: float, cell: str):
+    """P(Q <= x) for Q = sum mult_i lam_i chi^2_1, within _CDF_TOL / 2 for lo <= x <= hi.
+
+    Imhof's integral F(x) = 1/2 - (1/pi) int_0^inf sin(beta(u) - u x) / (u rho(u)) du,
+    beta(u) = (1/2) sum mult arctan(2 lam u), rho(u) = prod (1 + 4 lam^2 u^2)^{mult/4},
+    by the midpoint rule of step 2 pi / T on its first K terms (Davies, 1973).
+    The rule adds sum_j (-1)^j [F(x - jT) - P(Q > x + jT)] to F(x): T > 2 hi makes
+    every F(x - jT) zero, and T >= ``tail`` bounds the rest by P(Q > lo + tail).
+    The terms from K on, an Abel sum, are bounded by the total variation of
+    phi(u) / u past u_K (phi the characteristic function of Q) over |sin(pi x / T)|, the bound on the partial sums of
+    e^{-i u_k x}; beyond U, the eigenvalues with 2 lam U >= 4 make |phi(u)|
+    decay at least like (U/u)^kappa, kappa half their multiplicity.  The
+    beta and rho of each term are computed once; each x then costs K sines.
+    """
+    period = max(tail, 2.0 * hi)
+    step = 2.0 * math.pi / period
+    sine = min(math.sin(math.pi * lo / period), math.sin(math.pi * hi / period))
+    u_end = 2.5 / lam[0]  # past 4 / (2 lam_max), so that lam_max is among the big ones
+    while True:
+        big = 2.0 * lam * u_end >= 4.0
+        kappa = 0.5 * mult[big].sum()
+        small = mult[~big] @ lam[~big]
+        log_phi = -0.25 * mult @ np.log1p(4.0 * lam**2 * u_end**2) + 0.5 * kappa * math.log1p(1.0 / 16.0)
+        if step / (math.pi * sine) * math.exp(log_phi) * (1.0 / u_end + small / kappa) <= _CDF_TOL / 4.0:
+            break
+        u_end *= 1.25
+    terms = math.ceil(u_end / step)
+    if terms > _TERMS_MAX:
+        raise ValueError(f"inverting the limit law at {cell} needs {terms} terms, more than its budget of {_TERMS_MAX}")
+    k = np.arange(terms) + 0.5
+    u = k * step
+    beta, amp = np.empty(terms), np.empty(terms)
+    rows = max(1, _CHUNK // lam.size)
+    for lo_k in range(0, terms, rows):
+        uk = u[lo_k : lo_k + rows, None]
+        beta[lo_k : lo_k + rows] = 0.5 * np.arctan(2.0 * lam * uk) @ mult
+        amp[lo_k : lo_k + rows] = -0.25 * np.log1p(4.0 * lam**2 * uk**2) @ mult
+    amp = np.exp(amp) / (math.pi * k)
+    return lambda x: 0.5 - float(np.sin(beta - u * x) @ amp)
+
+
+# A shim for callers of the deleted sampler; delete it with ROADMAP item 1.
 @dataclass(frozen=True)
 class LimitSamplerConfig:
-    """Support-point and replicate counts for the limit-quantile sampler."""
+    """Inert: the limit law is exact and reads none of these fields.  Kept, with
+    its fields and defaults, for callers that still pass one (ROADMAP item 1)."""
 
     m: int = 1000
     ell: int = 100_000
     seed: int = 0
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("need at least m=2 support points")
-        if self.ell < 1:
-            raise ValueError("need at least one replicate")
 
+def limit_quantile(d: int, a: float, alpha: float, config: LimitSamplerConfig | None = None) -> float:
+    """The (1-alpha) quantile of the scaled limiting statistic, sum_i lambda_i chi^2_1.
 
-def limit_quantile(d: int, a: float, alpha: float, config: LimitSamplerConfig) -> float:
-    """Approximate the (1-alpha) quantile of the scaled limiting statistic.
-
-    Draws m support points U_k ~ N_d(0, (2a)^{-1} I) matched to the weight
-    w_a, forms the kernel matrix K(U_i, U_j), then simulates ell replicates
-    of ||X||^2 / (d^2 m) with X ~ N_m(0, Sigma_K) and returns their empirical
-    quantile.  The normalization is the importance-sampling identity
-    int z^2 w_a = (pi/a)^{d/2} E[z(U)^2] combined with the table scaling.
-
-    The replicates are evaluated in the eigenbasis of Sigma_K: with
-    eigenvalues lambda_i (clipped at zero) and X = Q diag(sqrt(lambda)) g,
-    ||X||^2 = sum_i lambda_i g_i^2 exactly, so no eigenvectors are formed and
-    each replicate costs m normal draws and one dot product.  The draws are
-    streamed through one buffer of about 2^20 doubles, so working memory is
-    O(m^2) plus the ell results, and the draws do not depend on the chunking.
+    The eigenvalues come from :func:`limit_eigenvalues`, the CDF from
+    :func:`_limit_cdf` within _CDF_TOL / 2 on a Chernoff bracket of the quantile,
+    which is bisected to _QUANTILE_TOL relative.  Nothing is simulated, so
+    the value is deterministic; ``config`` is ignored (ROADMAP item 1).
     """
-    a = _check_cell(d, math.inf, a)
-    check_alpha(alpha)
-    rng = parallel.substream(config.seed)
-    u = rng.normal(scale=np.sqrt(0.5 / a), size=(config.m, d))
-    sk = _kernel_matrix(u, d)
-    sk = 0.5 * (sk + sk.T)
-    sk[np.diag_indices_from(sk)] += _JITTER * np.trace(sk) / config.m
-    w = np.linalg.eigvalsh(sk)
-    scale = max(float(w[-1]), 1.0)
-    if w[0] < -1e-8 * scale:
-        raise KernelNotPSD(f"kernel matrix eigenvalue {w[0]:.3e} below -1e-8 * scale")
-    weights = np.clip(w, 0.0, None) / (d**2 * config.m)
-    zs = np.empty(config.ell)
-    chunk = max(1, min(config.ell, 2**20 // config.m))
-    buf = np.empty((chunk, config.m))
-    for lo in range(0, config.ell, chunk):
-        hi = min(lo + chunk, config.ell)
-        g = buf[: hi - lo]
-        rng.standard_normal(out=g)
-        np.square(g, out=g)
-        zs[lo:hi] = g @ weights
-    return critical_value(zs, alpha)
+    alpha = check_alpha(alpha)
+    lam, mult = limit_eigenvalues(d, a)
+    lo, hi, tail = _chernoff(lam, mult, alpha)
+    cdf = _limit_cdf(lam, mult, lo, hi, tail, f"d={d}, a={a:g}")
+    while hi - lo > _QUANTILE_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) < 1.0 - alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -40,7 +40,7 @@ CHECKPOINT_EVERY = 10_000
 
 # Purpose tags of derived seeds.  Their values are part of the
 # reproducibility contract: changing one changes every table built on it.
-CRIT, ALT, LIMIT = 0, 1, 2
+CRIT, ALT = 0, 1
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

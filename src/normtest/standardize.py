@@ -14,6 +14,7 @@ of the raw data.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,15 @@ def as_data_matrix(data) -> np.ndarray:
 
 
 def load_csv(path, *, delimiter: str = ",", header: bool = False) -> np.ndarray:
-    """Read a numeric CSV file (one observation per row) into a data matrix."""
-    x = np.loadtxt(path, delimiter=delimiter, skiprows=1 if header else 0, ndmin=2)
+    """Read a numeric CSV file (one observation per row) into a data matrix.
+
+    A file with no data rows is refused by name, in place of numpy's warning.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        x = np.loadtxt(path, delimiter=delimiter, skiprows=1 if header else 0, ndmin=2)
+    if x.size == 0:
+        raise ValueError(f"{path} holds no data rows")
     return as_data_matrix(x)
 
 

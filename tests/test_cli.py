@@ -5,14 +5,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from normtest import cli, nulldist, samplers
 from normtest.cli import build_parser, main
-from normtest.nulldist import LimitSamplerConfig, limit_quantile
-from normtest.parallel import LIMIT, derive_seed, float_key
+from normtest.nulldist import limit_quantile
 from conftest import make_rng
 
 IRIS = pathlib.Path(__file__).parent / "data" / "iris.csv"
@@ -116,6 +116,16 @@ class TestTestCommand:
         assert main(["test", "--input", "/nonexistent.csv", "--a", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,flags", [("", []), ("x\n", ["--header"])], ids=["empty", "header-only"])
+    def test_file_without_data_is_one_error_line(self, tmp_path, capsys, text, flags):
+        # refused by name, with no numpy warning before it
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["test", "--input", str(path), *flags, "--a", "1", "--workers", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path} holds no data rows\n")
+
     @pytest.mark.parametrize("command", [["test", "--a", "1"], ["power", "--alt", "std", "--n", "20", "--a", "1"]])
     def test_negative_seed_refused_before_simulating(self, tmp_path, capsys, command):
         data = ["--input", _write_normal_csv(tmp_path / "x.csv", n=30)] if command[0] == "test" else []
@@ -148,27 +158,27 @@ class TestCritTable:
         assert out.read_bytes() == first
 
     def test_inf_rows_via_limit_sampler(self, tmp_path, capsys):
+        # an n = inf row is the exact limit law's quantile, whatever the seed
         out = tmp_path / "table.csv"
         code = main(
-            ["crit-table", "--d", "1", "--n", "inf", "--a", "1.0", "--format", "csv", "--output", str(out),
-             "--workers", "1"]
+            ["crit-table", "--d", "1", "--n", "inf", "--a", "1.0", "--seed", "7", "--format", "csv",
+             "--output", str(out), "--workers", "1"]
         )
         assert code == 0
-        seed = derive_seed(0, LIMIT, 1, float_key(1.0))
-        q = limit_quantile(1, 1.0, 0.05, LimitSamplerConfig(seed=seed))
+        q = limit_quantile(1, 1.0, 0.05)
         assert out.read_text().splitlines() == [
             "d,n,a,alpha,quantile,replications,seed",
-            f"1,inf,1.0,0.05,{q!r},100000,0",
+            f"1,inf,1.0,0.05,{q!r},0,7",
         ]
 
     def test_inf_row_reports_the_sampler_draws(self, monkeypatch, capsys):
-        # an n = inf row comes from the limit sampler's ell draws; --reps plays no part in it
-        monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha, config: 1.5)
+        # an n = inf row simulates nothing: it reports 0 replications, and --reps plays no part in it
+        monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha: 1.5)
         argv = ["crit-table", "--d", "1", "--n", "12", "--n", "inf", "--a", "1", "--reps", "500", "--workers", "1",
                 "--format", "csv"]
         assert main(argv) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-        assert [(n, reps) for _d, n, _a, _alpha, _q, reps, _seed in rows] == [("12", "500"), ("inf", "100000")]
+        assert [(n, reps) for _d, n, _a, _alpha, _q, reps, _seed in rows] == [("12", "500"), ("inf", "0")]
 
     def test_rows_in_flag_order_with_every_column(self, capsys):
         argv = ["crit-table", "--d", "2", "--d", "1", "--n", "20", "--n", "12", "--a", "1", "--reps", "100",
@@ -184,13 +194,14 @@ class TestCritTable:
         assert capsys.readouterr().out.split("\n")[0].split() == header.split(",")
 
     def test_inf_row_defaults_its_limit_flags(self, monkeypatch):
-        configs = []
-        monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha, config: configs.append(config) or 1.0)
-        assert main(["crit-table", "--d", "1", "--n", "inf", "--a", "1", "--format", "json"]) == 0
-        assert [(c.m, c.ell) for c in configs] == [(1000, 100_000)]
+        # an n = inf row asks the limit law for its cell and --alpha, and for nothing else
+        calls = []
+        monkeypatch.setattr(cli, "limit_quantile", lambda *args, **kwargs: calls.append((args, kwargs)) or 1.0)
+        assert main(["crit-table", "--d", "1", "--n", "inf", "--a", "1", "--alpha", "0.1", "--format", "json"]) == 0
+        assert calls == [((1, 1.0, 0.1), {})]
 
     def test_json_text_of_one_row(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha, config: 0.625)
+        monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha: 0.625)
         assert main(["crit-table", "--d", "2", "--n", "inf", "--a", "3", "--seed", "5", "--format", "json"]) == 0
         assert capsys.readouterr().out == (
             '[\n'
@@ -200,7 +211,7 @@ class TestCritTable:
             '    "d": 2,\n'
             '    "n": "inf",\n'
             '    "quantile": 0.625,\n'
-            '    "replications": 100000,\n'
+            '    "replications": 0,\n'
             '    "seed": 5\n'
             '  }\n'
             ']\n'
@@ -365,7 +376,7 @@ def test_unread_flag_refused(tmp_path, capsys, command, flag):
     data = _write_normal_csv(tmp_path / "x.csv", n=30, d=1)
     argv = {"delta-ci": ["--input", data, "--a", "0.5"],
             "validate": ["--input", data, "--a", "0.5", "--delta0", "0.1"],
-            "limit-quantile": ["--d", "1", "--a", "1.0", "--m", "20", "--ell", "100"],
+            "limit-quantile": ["--d", "1", "--a", "1.0"],
             "crit-table": ["--d", "1", "--n", "12", "--a", "1.0", "--reps", "100"]}[command]
     with pytest.raises(SystemExit) as exc:
         main([command, *argv, flag, "1"])
@@ -444,21 +455,37 @@ class TestValidate:
 class TestLimitQuantileCommand:
     def test_runs_small(self, tmp_path):
         out = tmp_path / "lq.csv"
-        code = main(
-            ["limit-quantile", "--d", "1", "--a", "1.0", "--m", "60", "--ell", "3000",
-             "--seed", "3", "--format", "csv", "--output", str(out)]
-        )
+        code = main(["limit-quantile", "--d", "1", "--a", "1.0", "--format", "csv", "--output", str(out)])
         assert code == 0
         header, row = out.read_text().splitlines()
-        assert header.startswith("d,a,alpha,m,ell,seed,quantile")
-        assert float(row.split(",")[-1]) > 0.5
+        assert header == "d,a,alpha,quantile"
+        assert float(row.split(",")[-1]) == pytest.approx(1.760102, abs=1e-6)
+
+    def test_sampler_flags_are_parsed_and_ignored(self, capsys):
+        # the benchmark still passes them; the exact law reads none of them
+        argv = ["limit-quantile", "--d", "2", "--a", "3", "--format", "json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--m", "200", "--ell", "2000", "--seed", "32"]) == 0
+        assert capsys.readouterr().out == plain
+        assert json.loads(plain)[0]["quantile"] == pytest.approx(0.598870, abs=1e-6)
+        with pytest.raises(SystemExit):
+            main(["limit-quantile", "--help"])
+        assert re.search(r"--(m|ell|seed)\b", capsys.readouterr().out) is None
+
+    def test_unresolved_law_is_one_error_line(self, capsys):
+        # at a = 1e-80 the kernel overflows: one refusal naming the cell, no numpy warning
+        assert main(["limit-quantile", "--d", "3", "--a", "1e-80"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: the limit law at d=3, a=1e-80 ")
+        assert "trace error nan" in err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["limit-quantile", "--d", "0", "--a", "1.0", "--m", "20", "--ell", "100"],
-        ["limit-quantile", "--d", "1", "--d", "0", "--a", "1.0", "--m", "20", "--ell", "100"],
+        ["limit-quantile", "--d", "0", "--a", "1.0"],
+        ["limit-quantile", "--d", "1", "--d", "0", "--a", "1.0"],
         ["crit-table", "--d", "0", "--n", "inf", "--a", "1.0"],
         ["crit-table", "--d", "1", "--d", "0", "--n", "10", "--a", "1.0", "--reps", "50", "--workers", "1"],
         ["power", "--alt", "std", "--d", "0", "--n", "10", "--a", "1.0", "--reps", "50", "--workers", "1"],
@@ -483,7 +510,7 @@ _SECOND_A = "tuning parameter a must be a positive finite real, got -1.0"
     [
         (["crit-table", "--d", "1", "--n", "10", "--a", "1", "--a", "-1", "--reps", "200", "--workers", "1"],
          _SECOND_A),
-        (["limit-quantile", "--d", "1", "--a", "1", "--a", "-1", "--m", "50", "--ell", "500"], _SECOND_A),
+        (["limit-quantile", "--d", "1", "--a", "1", "--a", "-1"], _SECOND_A),
         (["test", "--input", str(IRIS), "--header", "--a", "1", "--a", "-1", "--reps", "200", "--workers", "1"],
          _SECOND_A),
         (["power", "--alt", "std", "--d", "2", "--n", "20", "--a", "1", "--competitor", "be", "--reps", "50",
@@ -491,7 +518,6 @@ _SECOND_A = "tuning parameter a must be a positive finite real, got -1.0"
         (["power", "--alt", "std", "--alt", "t:nu=3", "--d", "2", "--n", "20", "--a", "1", "--a", "2",
           "--competitor", "bhep", "--reps", "50", "--crit-reps", "200", "--workers", "1"],
          "t is univariate; use prod:t(nu=3.0) for d=2"),
-        (["limit-quantile", "--d", "1", "--a", "1", "--m", "1", "--ell", "500"], "need at least m=2 support points"),
         (["power", "--alt", "std", "--d", "2", "--n", "20", "--a", "1", "--competitor", "bhep:abc", "--reps", "50",
           "--workers", "1"], "bhep requires a finite a > 0, got 'abc'"),
         (["delta-ci", "--input", str(IRIS), "--header", "--a", "0.5", "--alpha", "2"], "alpha must be in (0, 1)"),
@@ -502,9 +528,9 @@ _SECOND_A = "tuning parameter a must be a positive finite real, got -1.0"
         # a repeated value would run the same cell again and print the same row twice
         (["test", "--input", str(IRIS), "--header", "--a", "1", "--a", "1.0", "--reps", "20", "--workers", "1"],
          "--a 1 is given 2 times: one row per value"),
-        (["limit-quantile", "--d", "1", "--a", "1", "--a", "1", "--m", "20", "--ell", "100"],
+        (["limit-quantile", "--d", "1", "--a", "1", "--a", "1"],
          "--a 1 is given 2 times: one row per value"),
-        (["limit-quantile", "--d", "1", "--d", "1", "--a", "1", "--m", "20", "--ell", "100"],
+        (["limit-quantile", "--d", "1", "--d", "1", "--a", "1"],
          "--d 1 is given 2 times: one row per value"),
         (["crit-table", "--d", "1", "--d", "1", "--n", "12", "--a", "1", "--reps", "20", "--workers", "1"],
          "--d 1 is given 2 times: one row per value"),
@@ -521,7 +547,7 @@ _SECOND_A = "tuning parameter a must be a positive finite real, got -1.0"
           "--format", "json"], "--alpha 1e-17 is too small: 1 - 1e-17 rounds to 1, where z is infinite"),
     ],
     ids=["crit-table-second-a", "limit-quantile-second-a", "test-second-a", "power-univariate-competitor",
-         "power-univariate-alternative", "limit-quantile-m", "power-non-numeric-tuning", "delta-ci-alpha",
+         "power-univariate-alternative", "power-non-numeric-tuning", "delta-ci-alpha",
          "validate-delta0", "power-nmix-matrix-sigma-at-d1", "test-repeated-a", "limit-quantile-repeated-a",
          "limit-quantile-repeated-d", "crit-table-repeated-d", "crit-table-repeated-n", "crit-table-repeated-inf",
          "crit-table-repeated-a", "delta-ci-tiny-alpha", "validate-tiny-alpha"],

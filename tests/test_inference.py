@@ -505,6 +505,14 @@ class TestConfidenceInterval:
         width = ci.upper - ci.lower
         assert width == pytest.approx(2.0 * ndtri(0.95) * est.sigma_hat / np.sqrt(40), rel=1e-12)
 
+    def test_tiny_alpha_refused_by_name(self):
+        # z at 1 - alpha/2 is infinite where that p rounds to 1; the library names alpha, not the quantile's domain
+        from normtest import DeltaEstimate
+
+        est = DeltaEstimate(delta_hat=0.4, sigma_hat=0.1, n=50, d=1, a=0.1)
+        with pytest.raises(ValueError, match=r"^alpha 1e-17 is too small: 1 - 5e-18 rounds to 1, where z is infinite$"):
+            confidence_interval(est, 1e-17)
+
     def test_width_shrinks_like_root_n(self):
         rng = make_rng(62)
         n = 400
@@ -561,6 +569,13 @@ class TestValidation:
                 validation_test(est, delta0=0.1, alpha=alpha)
             with pytest.raises(ValueError, match=re.escape("alpha must be in (0, 1)")):
                 confidence_interval(est, alpha)
+
+    def test_tiny_alpha_refused_by_name(self):
+        from normtest import DeltaEstimate
+
+        est = DeltaEstimate(delta_hat=0.1, sigma_hat=0.1, n=10, d=1, a=1.0)
+        with pytest.raises(ValueError, match=r"^alpha 1e-17 is too small: 1 - 1e-17 rounds to 1, where z is infinite$"):
+            validation_test(est, delta0=0.5, alpha=1e-17)
 
 
 class TestAsymptoticNormality:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
@@ -13,6 +14,7 @@ from normtest import (
     critical_value,
     expected_limit,
     kernel_K,
+    limit_eigenvalues,
     limit_quantile,
     mc_null_sample,
     pvalue_mc,
@@ -22,7 +24,8 @@ from normtest import (
 from normtest import evaluate, nulldist, parallel, power
 from normtest.competitors import KINDS, parse_competitor
 from normtest.samplers import parse_spec, sample
-from normtest.nulldist import KernelNotPSD, _kernel_matrix
+from normtest.nulldist import _kernel
+from normtest.statistic import scaling_factor
 from conftest import make_rng
 
 
@@ -48,6 +51,12 @@ def _h_func(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     )
 
 
+def _kernel_matrix(u: np.ndarray, d: int) -> np.ndarray:
+    # K on every pair of rows of u, through the three scalars it reads
+    ns = np.einsum("ij,ij->i", u, u)
+    return _kernel(ns[:, None], ns[None, :], u @ u.T, d)
+
+
 class TestKernel:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_zero_at_origin(self, d):
@@ -63,6 +72,7 @@ class TestKernel:
         rng = make_rng(2)
         u = rng.normal(size=(4, 3))
         km = _kernel_matrix(u, 3)
+        assert km.shape == (4, 4)
         for i in range(4):
             for j in range(4):
                 assert km[i, j] == pytest.approx(kernel_K(u[i], u[j], 3), rel=1e-10, abs=1e-12)
@@ -366,7 +376,7 @@ class TestCriticalValue:
             with pytest.raises(ValueError, match=re.escape("alpha must be in (0, 1)")):
                 critical_value([1.0], alpha)
             with pytest.raises(ValueError, match=re.escape("alpha must be in (0, 1)")):
-                limit_quantile(1, 1.0, alpha, LimitSamplerConfig(m=10, ell=10))
+                limit_quantile(1, 1.0, alpha)
 
 
 class TestPvalue:
@@ -423,84 +433,97 @@ class TestPvalue:
         assert stats.kstest(ps, "uniform").statistic < 0.1
 
 
-def _gemm_oracle(d, a, alpha, cfg):
-    # reference sampler: factor Sigma_K = F F^T with the eigenvectors, map all
-    # ell draws through F in one GEMM and take the squared row norms
-    rng = parallel.substream(cfg.seed)
-    u = rng.normal(scale=np.sqrt(0.5 / a), size=(cfg.m, d))
-    sk = _kernel_matrix(u, d)
-    sk = 0.5 * (sk + sk.T)
-    sk[np.diag_indices_from(sk)] += nulldist._JITTER * np.trace(sk) / cfg.m
-    w, q = np.linalg.eigh(sk)
-    factor = q * np.sqrt(np.clip(w, 0.0, None))
-    x = rng.standard_normal((cfg.ell, cfg.m)) @ factor.T
-    return critical_value(np.einsum("ij,ij->i", x, x) / (d**2 * cfg.m), alpha)
+def _gauss_hermite_law(d: int, a: float, nodes: int):
+    # independent d <= 2 oracle: Nystrom on the tensor Gauss-Hermite rule of N(0, (2a)^{-1} I)
+    x, w = hermegauss(nodes)
+    x, w = x / np.sqrt(2.0 * a), w / w.sum()
+    if d == 2:
+        x = np.stack(np.meshgrid(x, x, indexing="ij"), -1).reshape(-1, 2)
+        w = np.outer(w, w).ravel()
+    else:
+        x = x[:, None]
+    root = np.sqrt(w) / d
+    lam = np.linalg.eigvalsh(_kernel_matrix(x, d) * np.outer(root, root))
+    lam = lam[lam > 0.0][::-1]
+    return lam, np.ones(lam.size, dtype=int)
+
+
+class TestLimitLaw:
+    @pytest.mark.parametrize("a", [0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_trace_is_the_closed_form_mean(self, d, a):
+        lam, mult = limit_eigenvalues(d, a)
+        assert np.all(lam > 0.0) and np.all(np.diff(lam) <= 0.0) and np.all(mult >= 1)
+        assert mult @ lam == pytest.approx(expected_limit(d, a) * scaling_factor(d, a), rel=1e-10, abs=0.0)
+
+    def test_multiplicities_are_the_harmonic_dimensions(self):
+        # d = 3: degree l has 2l + 1 harmonics; d = 1: one even and one odd part
+        assert set(limit_eigenvalues(3, 1.0)[1]) <= {2 * l + 1 for l in range(200)}
+        assert set(limit_eigenvalues(1, 1.0)[1]) == {1}
+
+    @pytest.mark.parametrize("d,a,nodes,expect", [(1, 1.0, 200, 1.760102), (2, 3.0, 40, 0.598870)])
+    def test_matches_gauss_hermite_oracle(self, monkeypatch, d, a, nodes, expect):
+        q = limit_quantile(d, a, 0.05)
+        assert q == pytest.approx(expect, abs=1e-6)
+        law = _gauss_hermite_law(d, a, nodes)
+        assert law[1] @ law[0] == pytest.approx(expected_limit(d, a) * scaling_factor(d, a), rel=1e-10)
+        monkeypatch.setattr(nulldist, "limit_eigenvalues", lambda d, a: law)
+        assert limit_quantile(d, a, 0.05) == pytest.approx(q, abs=1e-6)
+
+    @pytest.mark.parametrize("lam,mult", [((1.0,), (3,)), ((1.0,), (5,)), ((0.25,), (30,))])
+    def test_inversion_of_one_chi_square(self, monkeypatch, lam, mult):
+        from scipy.stats import chi2
+
+        lam, mult = np.array(lam), np.array(mult)
+        for alpha in (0.5, 0.05, 1e-6):
+            lo, hi, tail = nulldist._chernoff(lam, mult, alpha)
+            cdf = nulldist._limit_cdf(lam, mult, lo, hi, tail, "test")
+            for x in np.linspace(lo, hi, 5):
+                assert cdf(x) == pytest.approx(chi2.cdf(x / lam[0], mult[0]), abs=1e-10)
+        monkeypatch.setattr(nulldist, "limit_eigenvalues", lambda d, a: (lam, mult))
+        assert limit_quantile(1, 1.0, 0.05) == pytest.approx(lam[0] * chi2.ppf(0.95, mult[0]), rel=1e-9)
+
+    @pytest.mark.parametrize("big,small", [(1.0, 0.5), (1.0, 1e-3)])
+    def test_inversion_of_two_exponentials(self, big, small):
+        # big chi2_2 + small chi2_2 is a sum of exponentials of means 2 big and 2 small
+        lam, mult = np.array([big, small]), np.array([2, 2])
+        exact = lambda x: 1.0 - (big * np.exp(-x / (2 * big)) - small * np.exp(-x / (2 * small))) / (big - small)
+        lo, hi, tail = nulldist._chernoff(lam, mult, 0.05)
+        cdf = nulldist._limit_cdf(lam, mult, lo, hi, tail, "test")
+        for x in np.linspace(lo, hi, 7):
+            assert cdf(x) == pytest.approx(exact(x), abs=1e-10)
+
+    def test_small_a_matches_the_extrapolated_null(self):
+        # the sampler gave 1.4908 here, about mean * (1 + 1.645 sqrt(2/m)) for its m = 1000 points;
+        # finite-n quantiles close on the exact one as n doubles, and 2 q_1000 - q_500 extrapolates them
+        q500, q1000 = (critical_value(mc_null_sample(5, n, 0.1, 4000, 4242, workers=2), 0.05) for n in (500, 1000))
+        assert 2.0 * q1000 - q500 == pytest.approx(limit_quantile(5, 0.1, 0.05), abs=0.01)
+        assert limit_quantile(5, 0.1, 0.05) == pytest.approx(1.417229, abs=1e-5)
+
+    @pytest.mark.parametrize("a", [1e-80, 1e300])
+    def test_unresolved_law_refused(self, a):
+        cell = re.escape(f"d=3, a={a:g}")
+        with pytest.raises(ValueError, match=rf"^the limit law at {cell} is not resolved .* trace error nan"):
+            limit_eigenvalues(3, a)
 
 
 class TestLimitQuantile:
-    @pytest.mark.parametrize(
-        "d,a,m,ell,seed",
-        [
-            (1, 1.0, 1000, 5000, 32),  # 4 full chunks of 1048 rows and a partial one
-            (2, 3.0, 400, 6000, 31),  # chunks of 2621 rows
-            (1, 1.0, 80, 4000, 5),
-            (2, 1.0, 60, 4000, 42),
-            (3, 0.5, 300, 20_000, 7),  # chunks of 3495 rows
-            (1, 1.0, 2, 500, 1),
-        ],
-    )
-    def test_matches_gemm_oracle(self, d, a, m, ell, seed):
-        cfg = LimitSamplerConfig(m=m, ell=ell, seed=seed)
-        for alpha in (0.05, 0.5):
-            q = limit_quantile(d, a, alpha, cfg)
-            assert q == pytest.approx(_gemm_oracle(d, a, alpha, cfg), rel=1e-12, abs=0.0)
-
-    def test_memory_fixed_in_ell(self):
-        # the draws stream through one buffer, so only the result vector (and
-        # its sorted copy) grows with ell
-        peaks = {}
-        for ell in (2_000, 200_000):
-            tracemalloc.start()
-            try:
-                limit_quantile(1, 1.0, 0.05, LimitSamplerConfig(m=200, ell=ell, seed=4))
-                peaks[ell] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[200_000] - peaks[2_000] < 200_000 * 8 + 16 * 2**20
-
-    def test_indefinite_kernel_raises(self, monkeypatch):
-        monkeypatch.setattr(nulldist, "_kernel_matrix", lambda u, d: np.diag([1.0, -1.0, 1.0, 1.0]))
-        with pytest.raises(KernelNotPSD):
-            limit_quantile(1, 1.0, 0.05, LimitSamplerConfig(m=4, ell=100, seed=0))
-
-    def test_degenerate_support_points(self, monkeypatch):
-        monkeypatch.setattr(nulldist, "_kernel_matrix", lambda u, d: np.zeros((len(u), len(u))))
-        cfg = LimitSamplerConfig(m=2, ell=500, seed=1)
-        assert limit_quantile(1, 1.0, 0.05, cfg) == 0.0
-
     def test_deterministic(self):
-        cfg = LimitSamplerConfig(m=60, ell=4000, seed=42)
-        q1 = limit_quantile(2, 1.0, 0.05, cfg)
-        q2 = limit_quantile(2, 1.0, 0.05, cfg)
-        assert q1 == q2
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LimitSamplerConfig(m=1)
-        with pytest.raises(ValueError):
-            LimitSamplerConfig(ell=0)
+        q = limit_quantile(2, 1.0, 0.05)
+        assert limit_quantile(2, 1.0, 0.05) == q
+        # the deleted sampler's settings are accepted and read by nothing
+        assert limit_quantile(2, 1.0, 0.05, LimitSamplerConfig(m=2, ell=1, seed=9)) == q
 
     def test_zero_dimension_refused(self):
         with pytest.raises(ValueError, match="need dimension d >= 1, got d=0"):
-            limit_quantile(0, 1.0, 0.05, LimitSamplerConfig(m=20, ell=100))
+            limit_quantile(0, 1.0, 0.05)
         with pytest.raises(ValueError, match="need dimension d >= 1, got d=0"):
             expected_limit(0, 1.0)
 
     def test_rough_location_small_run(self):
-        # coarse run should already land in the right neighborhood of 1.765
-        cfg = LimitSamplerConfig(m=300, ell=20_000, seed=7)
-        q = limit_quantile(1, 1.0, 0.05, cfg)
-        assert 1.5 < q < 2.1
+        # the quantile decreases in alpha, and the median lies below the mean
+        qs = [limit_quantile(1, 1.0, alpha) for alpha in (0.01, 0.05, 0.5)]
+        assert qs[0] > qs[1] > qs[2] and qs[2] < expected_limit(1, 1.0) * scaling_factor(1, 1.0)
 
     def test_kernel_matrix_symmetric_and_near_psd(self):
         rng = make_rng(21)
@@ -510,11 +533,8 @@ class TestLimitQuantile:
         w = np.linalg.eigvalsh(0.5 * (sk + sk.T))
         # PSD in exact arithmetic: float negatives are pure roundoff
         assert w[0] > -1e-10 * w[-1]
-        # clipping-based repair leaves no negative spectrum
-        assert np.all(np.clip(w, 0.0, None) >= 0.0)
-        # the limit sampler runs on such a kernel
-        cfg = LimitSamplerConfig(m=50, ell=500, seed=3)
-        assert limit_quantile(2, 1.0, 0.05, cfg) > 0.0
+        # the radial matrices of the limit law are PSD too: every eigenvalue kept is positive
+        assert limit_quantile(2, 1.0, 0.05) > 0.0
 
 
 TABLE1 = {

@@ -92,7 +92,6 @@ class TestSeedingContract:
     def test_derived_seeds(self):
         assert parallel.derive_seed(4242, parallel.CRIT, 2, 20, parallel.float_key(1.0)) == 11935040800261041523
         assert parallel.derive_seed(4242, parallel.ALT, 2, 50, parallel.float_key(0.5)) == 18095698259103607017
-        assert parallel.derive_seed(4242, parallel.LIMIT, 2, parallel.float_key(3.0)) == 539191531130240652
 
     def test_first_draws(self):
         assert parallel.substream(31).standard_normal(3).tolist() == [

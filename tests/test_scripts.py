@@ -87,15 +87,9 @@ def test_benchmark_delta_ci_check_passes(seed, tmp_path, capsys):
     _benchmark_checks_pass("delta_ci_large", seed, tmp_path, capsys)
 
 
-# The limit-quantile check holds a smoke run (m=200, ell=2000) to the full
-# run's 0.598 +- 0.05; seed 1 gives 0.6576, within that size's Monte Carlo
-# spread (0.565-0.658 over seeds 0-7), and 0.6119 at full size.
-_SMOKE_TOLERANCE = pytest.mark.xfail(strict=True, reason="full-size tolerance on a smoke-size run")
-
-
 @pytest.mark.parametrize("name,seed", [
-    ("iris_test", 0), ("iris_test", 1), ("power_cell", 0), ("power_cell", 1),
-    ("limit_quantile", 0), pytest.param("limit_quantile", 1, marks=_SMOKE_TOLERANCE),
+    ("iris_test", 0), ("iris_test", 1), ("power_cell", 0), ("power_cell", 1), ("limit_quantile", 0),
+    ("limit_quantile", 1),
 ])
 def test_benchmark_check_passes(name, seed, tmp_path, capsys):
     _benchmark_checks_pass(name, seed, tmp_path, capsys)
