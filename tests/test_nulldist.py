@@ -507,7 +507,44 @@ class TestLimitLaw:
             limit_eigenvalues(3, a)
 
 
+def _gemm_oracle(d: int, a: float, alpha: float, cfg: LimitSamplerConfig) -> tuple[float, float]:
+    # cfg.ell draws of sum_i lambda_i chi^2_{mult_i}, one GEMV per block of
+    # rows, and the distribution-free interval for their (1-alpha) quantile:
+    # the order statistics 4.5 binomial standard deviations either side of rank
+    # ell (1-alpha).  cfg.m sized the deleted sampler's support; nothing reads it.
+    lam, mult = limit_eigenvalues(d, a)
+    rng = np.random.default_rng(cfg.seed)
+    draws = np.empty(cfg.ell)
+    for start in range(0, cfg.ell, 2000):
+        rows = min(2000, cfg.ell - start)
+        draws[start : start + rows] = rng.chisquare(mult, size=(rows, mult.size)) @ lam
+    draws.sort()
+    rank = cfg.ell * (1.0 - alpha)
+    half = 4.5 * math.sqrt(cfg.ell * alpha * (1.0 - alpha))
+    return draws[max(math.floor(rank - half) - 1, 0)], draws[min(math.ceil(rank + half) - 1, cfg.ell - 1)]
+
+
 class TestLimitQuantile:
+    @pytest.mark.parametrize(
+        "d,a,m,ell,seed",
+        [
+            (1, 1.0, 1000, 5000, 32),
+            (2, 3.0, 400, 6000, 31),
+            (1, 1.0, 80, 4000, 5),
+            (2, 1.0, 60, 4000, 42),
+            (3, 0.5, 300, 20_000, 7),  # no Gauss-Hermite oracle converges at d = 3
+            (1, 1.0, 2, 500, 1),
+        ],
+    )
+    def test_matches_gemm_oracle(self, d, a, m, ell, seed):
+        # the exact quantile lies in the Monte Carlo interval of draws from the same eigenvalues
+        cfg = LimitSamplerConfig(m=m, ell=ell, seed=seed)
+        for alpha in (0.05, 0.5):
+            q = limit_quantile(d, a, alpha, cfg)
+            assert q == limit_quantile(d, a, alpha)
+            lo, hi = _gemm_oracle(d, a, alpha, cfg)
+            assert lo <= q <= hi
+
     def test_deterministic(self):
         q = limit_quantile(2, 1.0, 0.05)
         assert limit_quantile(2, 1.0, 0.05) == q
