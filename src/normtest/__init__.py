@@ -13,18 +13,14 @@ from .competitors import CompetitorSpec, bcmr, be, bhep, evaluate, hjg, hv, hv_i
 from .inference import (
     ConfidenceInterval,
     DeltaEstimate,
-    PsiBundle,
     ValidationResult,
     confidence_interval,
     delta_a_univariate,
     delta_estimate,
-    m_func,
     p_aggregates,
-    psi_estimators,
     sigma_hat_sq,
     sigma_hat_sq_quadrature,
     validation_test,
-    z_n,
 )
 from .nulldist import (
     LimitSamplerConfig,
@@ -62,7 +58,6 @@ __all__ = [
     "ConfidenceInterval",
     "DeltaEstimate",
     "LimitSamplerConfig",
-    "PsiBundle",
     "QuadratureSpec",
     "SingularCovariance",
     "StandardizedSample",
@@ -85,14 +80,12 @@ __all__ = [
     "limit_eigenvalues",
     "limit_quantile",
     "load_csv",
-    "m_func",
     "mardia_kurtosis",
     "mardia_skewness",
     "mc_null_sample",
     "mrs_skewness",
     "p_aggregates",
     "parse_spec",
-    "psi_estimators",
     "pvalue_mc",
     "sample",
     "scaled_residuals",
@@ -104,5 +97,4 @@ __all__ = [
     "t_statistic",
     "t_statistic_quadrature",
     "validation_test",
-    "z_n",
 ]

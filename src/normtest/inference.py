@@ -31,63 +31,26 @@ from .standardize import StandardizedSample, check_not_simplex
 from .statistic import _gauss_kernel, _pairwise_apply, check_alpha, check_tuning
 
 
-def m_func(t, d: int) -> np.ndarray | float:
-    """m(t) = (d - ||t||^2) exp(-||t||^2 / 2), the null mean function."""
-    t = np.asarray(t, dtype=float)
-    n2 = np.einsum("...i,...i->...", np.atleast_2d(t), np.atleast_2d(t))
-    out = (d - n2) * np.exp(-0.5 * n2)
-    return float(out[0]) if t.ndim <= 1 else out
+def _trig_sums(y: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The trigonometric sums of the residuals y (n, d) at each of G frequencies pts (G, d).
 
-
-def _cs(proj: np.ndarray, sign: int) -> np.ndarray:
-    return np.cos(proj) + sign * np.sin(proj)
-
-
-def z_n(s, sample: StandardizedSample) -> float:
-    """Empirical centred projection (1/n) sum_k CS+(s, Y_k) ||Y_k||^2 - m(s)."""
-    y = sample.residuals
-    s = np.asarray(s, dtype=float).ravel()
-    r = np.einsum("ij,ij->i", y, y)
-    proj = y @ s
-    return float(np.mean(_cs(proj, +1) * r) - m_func(s, sample.d))
-
-
-@dataclass(frozen=True)
-class PsiBundle:
-    """The five empirical trigonometric moment sums at one frequency t.
-
-    psi3/psi4 come in +/- (cos+sin / cos-sin) variants.  At t=0 the
-    standardization identities force psi1 = 0, psi2 = I and psi3 = d exactly.
+    Returns ``(cp, z, psi1, psi2, psi3, psi4)``, with CS+- = cos(s.Y_k) +- sin(s.Y_k)
+    and r_k = ||Y_k||^2: cp (G, n) holds CS+(s_g, Y_k);
+    z (G,) = (1/n) sum_k CS+ r_k - m(s_g), the centred projection z_n, where
+    m(t) = (d - ||t||^2) exp(-||t||^2/2) is the null mean function;
+    psi1 (G, d) = (1/n) sum_k CS+ Y_k; psi2 (G, d, d) = (1/n) sum_k CS+ Y_k Y_k^T;
+    psi3 (G,) = (1/n) sum_k CS- r_k; psi4 (G, d) = (1/n) sum_k CS- r_k Y_k.
+    At s = 0 the standardization identities make z = 0, psi1 = 0, psi2 = I and psi3 = d.
     """
-
-    psi1: np.ndarray
-    psi2: np.ndarray
-    psi3_plus: float
-    psi3_minus: float
-    psi4_plus: np.ndarray
-    psi4_minus: np.ndarray
-    psi5: np.ndarray
-
-
-def psi_estimators(sample: StandardizedSample, t) -> PsiBundle:
-    """Evaluate the five moment sums (and sign variants) at frequency t."""
-    y = sample.residuals
-    t = np.asarray(t, dtype=float).ravel()
-    n = sample.n
+    n, d = y.shape
     r = np.einsum("ij,ij->i", y, y)
-    proj = y @ t
-    cp, cm = _cs(proj, +1), _cs(proj, -1)
-    psi2 = (y.T * cp) @ y / n
-    psi5 = (y.T * (cp * r)) @ y / n
-    return PsiBundle(
-        psi1=(cp @ y) / n,
-        psi2=0.5 * (psi2 + psi2.T),
-        psi3_plus=float(np.mean(cp * r)),
-        psi3_minus=float(np.mean(cm * r)),
-        psi4_plus=((cp * r) @ y) / n,
-        psi4_minus=((cm * r) @ y) / n,
-        psi5=0.5 * (psi5 + psi5.T),
-    )
+    proj = pts @ y.T
+    cos, sin = np.cos(proj), np.sin(proj)
+    cp, cmr = cos + sin, (cos - sin) * r
+    t2 = np.einsum("ij,ij->i", pts, pts)
+    z = (cp @ r) / n - (d - t2) * np.exp(-0.5 * t2)
+    psi2 = cp @ (y[:, :, None] * y[:, None, :]).reshape(n, d * d) / n
+    return cp, z, (cp @ y) / n, psi2.reshape(-1, d, d), cmr.sum(axis=1) / n, (cmr @ y) / n
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +167,11 @@ def _projected_influence(
 ) -> np.ndarray:
     """(4, n) matrix of A_i(Y_k) = int v_i(s, Y_k) z_n(s) w_a(s) ds on a grid, d <= 2.
 
-    v_1..v_4 are built from the PsiBundle sums evaluated at the grid nodes;
-    the double integral defining each sigma^{i,j} then factorizes through
-    these projections, so the cost is one grid pass, not a grid-squared pass.
+    v_1..v_4 are read from the trigonometric sums at the grid nodes (:func:`_trig_sums`):
+    v_1 = CS+(s, Y_k) r_k, v_2 = -(1/2)((s.Y_k)(psi4(s).Y_k) - s.psi4(s)),
+    v_3 = -(2 psi1(s) + psi3(s) s).Y_k and v_4 = -Y_k^T psi2(s) Y_k.  The double
+    integral defining each sigma^{i,j} factorizes through these projections, and
+    v_2..v_4 are quadratic or linear in Y_k, so each A_i costs one grid pass.
     """
     a = check_tuning(a)
     if sample.d > 2:
@@ -214,24 +179,20 @@ def _projected_influence(
     if grid is None:
         grid = QuadratureSpec(points=1200 if sample.d == 1 else 180)
     y = sample.residuals
-    n, d = y.shape
-    pts, wt = grid.grid(a, d)
+    pts, wt = grid.grid(a, sample.d)
     r = np.einsum("ij,ij->i", y, y)
-    g = y @ y.T
-    proj = pts @ y.T  # (G, n)
-    cp, cm = _cs(proj, +1), _cs(proj, -1)
-    t2 = np.einsum("ij,ij->i", pts, pts)
-    zg = (cp @ r) / n - (d - t2) * np.exp(-0.5 * t2)
+    cp, z, psi1, psi2, psi3, psi4 = _trig_sums(y, pts)
+    coef = wt * np.exp(-a * np.einsum("ij,ij->i", pts, pts)) * z
 
-    v1 = cp * r[None, :]
-    psi4m = ((cm * r[None, :]) @ y) / n  # (G, d): Psi4-(s_g)
-    v2 = -0.5 * (proj * (psi4m @ y.T) - np.einsum("gi,gi->g", pts, psi4m)[:, None])
-    psi3m = (cm @ r) / n
-    v3 = -(2.0 * (cp @ g) / n + psi3m[:, None] * proj)
-    v4 = -(cp @ g**2) / n
+    def quadratic(mat):  # Y_k^T mat Y_k for every k
+        return np.einsum("kp,pq,kq->k", y, mat, y)
 
-    coef = wt * np.exp(-a * t2) * zg
-    return np.stack([coef @ v for v in (v1, v2, v3, v4)])
+    return np.stack([
+        (coef @ cp) * r,
+        -0.5 * (quadratic((pts.T * coef) @ psi4) - coef @ np.einsum("gi,gi->g", pts, psi4)),
+        -(y @ (coef @ (2.0 * psi1 + psi3[:, None] * pts))),
+        -quadratic(np.tensordot(coef, psi2, axes=1)),
+    ])
 
 
 def sigma_hat_sq_quadrature(

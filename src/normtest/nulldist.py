@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Collection
 from dataclasses import dataclass
 
@@ -33,15 +34,13 @@ from .standardize import _whiten, check_not_simplex, check_sample_size
 from .statistic import StatisticValue, _scaled_t, check_alpha, check_range, check_tuning, scaling_factor
 
 
-def kernel_K(s, t, d: int | None = None) -> float:
+def kernel_K(s, t) -> float:
     """Covariance kernel K(s, t) of the limiting Gaussian process under H0."""
     s = np.asarray(s, dtype=float).ravel()
     t = np.asarray(t, dtype=float).ravel()
-    if d is None:
-        d = s.size
-    if s.size != d or t.size != d:
-        raise ValueError("s and t must be d-vectors")
-    return float(_kernel(s @ s, t @ t, s @ t, d))
+    if s.size != t.size:
+        raise ValueError("s and t must have the same length")
+    return float(_kernel(s @ s, t @ t, s @ t, s.size))
 
 
 def _kernel(ns, nt, g, d: int):
@@ -66,23 +65,34 @@ def expected_limit(d: int, a: float) -> float:
     """Mean of the limiting null distribution of the raw statistic.
 
     Closed form obtained by integrating K(t, t) w_a(t) over R^d; the c_j
-    coefficients are the radial Gaussian moments of that integrand.  Checked
-    in the tests against direct quadrature of K(t, t) w_a and against the
-    empirical mean of the simulated null statistic at large n.
+    coefficients are the radial Gaussian moments of that integrand.  The first
+    difference (pi/a)^{d/2} - (pi/(a+1))^{d/2} is taken as
+    (pi/a)^{d/2} (1 - (1 + 1/a)^{-d/2}), which does not cancel at large a.  An
+    ``a`` at which the mean overflows or underflows is refused.  Checked in the
+    tests against direct quadrature of K(t, t) w_a, against a many-digit
+    evaluation of the closed form, and against the empirical mean of the
+    simulated null statistic at large n.
     """
     a = _check_cell(d, math.inf, a)
     d = int(d)
+    h = d / 2.0
 
     def c(j: int) -> float:
-        return np.pi ** (d / 2.0) * d / (a + 1.0) ** (d / 2.0 + j)
+        return np.pi**h * d * (a + 1.0) ** -(h + j)
 
-    return float(
-        d * (d + 2.0) * ((np.pi / a) ** (d / 2.0) - (np.pi / (a + 1.0)) ** (d / 2.0))
-        - c(4) * (d + 2.0) * (d + 4.0) * (d + 6.0) / 32.0
-        + c(3) * (d + 2.0) * (d + 3.0) * (d + 4.0) / 8.0
-        - c(2) * (d + 2.0) * (d**2 + 4.0 * d + 14.0) / 8.0
-        + c(1) * (2.0 - d) * (d + 2.0) / 2.0
-    )
+    try:
+        mean = (
+            d * (d + 2.0) * (np.pi / a) ** h * -math.expm1(-h * math.log1p(1.0 / a))
+            - c(4) * (d + 2.0) * (d + 4.0) * (d + 6.0) / 32.0
+            + c(3) * (d + 2.0) * (d + 3.0) * (d + 4.0) / 8.0
+            - c(2) * (d + 2.0) * (d**2 + 4.0 * d + 14.0) / 8.0
+            + c(1) * (2.0 - d) * (d + 2.0) / 2.0
+        )
+    except OverflowError:  # Python's float ** raises where the result leaves the float range
+        mean = math.inf
+    if not sys.float_info.min <= mean < math.inf:
+        raise ValueError(f"the limit mean at d={d}, a={a:g} leaves the float range")
+    return mean
 
 
 _NULL = AlternativeSpec("std")
@@ -330,12 +340,9 @@ def limit_eigenvalues(d: int, a: float) -> tuple[np.ndarray, np.ndarray]:
             f"trace error {err:.1e} (tolerance {_TRACE_TOL:g}) at {nodes}"
         )
 
-    # the mean and the kernel values overflow at extreme a; the trace check then refuses them
+    trace = expected_limit(d, a) * scaling_factor(d, a)
+    # the kernel values overflow at extreme a; the trace check then refuses them
     with np.errstate(all="ignore"):
-        try:
-            trace = expected_limit(d, a) * scaling_factor(d, a)
-        except OverflowError:  # Python's float ** raises where the result leaves the float range
-            trace = math.nan
         # the radial rule alone, on the diagonal K(t, t), to half the tolerance
         for n in _counts(_RADIAL_MAX):
             u, w = _radial_rule(n, d)

@@ -1,5 +1,6 @@
 import pathlib
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,18 +10,16 @@ from normtest import (
     confidence_interval,
     delta_a_univariate,
     delta_estimate,
-    m_func,
     p_aggregates,
-    psi_estimators,
     scaled_residuals,
     sigma_hat_sq,
     sigma_hat_sq_quadrature,
     t_statistic,
     validation_test,
-    z_n,
 )
 from normtest.inference import (
     _projected_influence,
+    _trig_sums,
     laplace_cf_second_derivative,
     logistic_cf_second_derivative,
     p1,
@@ -46,39 +45,60 @@ def _sample(seed, n=20, d=1, skew=True):
     return scaled_residuals(x)
 
 
+def _m(t) -> float:
+    """m(t) = (d - ||t||^2) exp(-||t||^2/2), read from the trigonometric sums: one
+    observation at the origin has r = 0 and CS+ = 1, so its z_n is exactly -m(t)."""
+    t = np.asarray(t, dtype=float).ravel()
+    return -float(_trig_sums(np.zeros((1, t.size)), t[None])[1][0])
+
+
+def _sums(sample, t) -> SimpleNamespace:
+    """The sums of :func:`_trig_sums` at one frequency t, with the display-only
+    psi3+ = (1/n) sum CS+ r, psi4+ = (1/n) sum CS+ r Y and psi5 = (1/n) sum CS+ r Y Y^T."""
+    y = sample.residuals
+    n = sample.n
+    cp, z, psi1, psi2, psi3, psi4 = _trig_sums(y, np.asarray(t, dtype=float).ravel()[None])
+    cpr = cp[0] * np.einsum("ij,ij->i", y, y)
+    psi5 = (y.T * cpr) @ y / n
+    return SimpleNamespace(
+        z=float(z[0]), psi1=psi1[0], psi2=psi2[0], psi3_minus=float(psi3[0]), psi4_minus=psi4[0],
+        psi3_plus=float(np.mean(cpr)), psi4_plus=(cpr @ y) / n, psi5=0.5 * (psi5 + psi5.T),
+    )
+
+
 class TestMFunc:
     def test_at_zero(self):
         for d in (1, 2, 5):
-            assert m_func(np.zeros(d), d) == pytest.approx(d)
+            assert _m(np.zeros(d)) == pytest.approx(d)
 
     def test_root_at_radius_sqrt_d(self):
         for d in (1, 3):
             t = np.full(d, np.sqrt(1.0))  # ||t||^2 = d
-            assert m_func(t, d) == pytest.approx(0.0, abs=1e-14)
+            assert _m(t) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_direct_formula(self):
         rng = make_rng(1)
         for d in (1, 2, 4):
             t = rng.normal(size=d)
             n2 = float(t @ t)
-            assert m_func(t, d) == pytest.approx((d - n2) * np.exp(-0.5 * n2), rel=1e-14)
+            assert _m(t) == pytest.approx((d - n2) * np.exp(-0.5 * n2), rel=1e-14)
 
 
 class TestZn:
     def test_zero_frequency_is_exactly_zero(self):
         for seed in (1, 2):
             s = _sample(seed, n=15, d=2)
-            assert z_n(np.zeros(2), s) == pytest.approx(0.0, abs=1e-12)
+            assert _sums(s, np.zeros(2)).z == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_hand_formula(self):
         for s_val in (0.3, 1.7, -2.2):
             expected = np.cos(s_val) - (1.0 - s_val**2) * np.exp(-0.5 * s_val**2)
-            assert z_n([s_val], TWO_POINT) == pytest.approx(expected, rel=1e-12)
+            assert _sums(TWO_POINT, [s_val]).z == pytest.approx(expected, rel=1e-12)
 
     def test_small_under_null(self):
         s = scaled_residuals(make_rng(3).standard_normal((200_000, 1)))
         grid = np.linspace(-3, 3, 25)
-        sup = max(abs(z_n([g], s)) for g in grid)
+        sup = float(np.max(np.abs(_trig_sums(s.residuals, grid[:, None])[1])))
         assert sup < 0.05
 
     def test_affine_equivariance(self):
@@ -93,23 +113,45 @@ class TestZn:
         m = np.linalg.lstsq(y0, y1, rcond=None)[0].T
         np.testing.assert_allclose(m @ m.T, np.eye(2), atol=1e-8)
         for t in (np.array([0.4, -0.9]), np.array([1.3, 0.2])):
-            assert z_n(t, s1) == pytest.approx(z_n(m.T @ t, s0), abs=1e-8)
+            assert _sums(s1, t).z == pytest.approx(_sums(s0, m.T @ t).z, abs=1e-8)
         assert sigma_hat_sq(s1, 0.5) == pytest.approx(sigma_hat_sq(s0, 0.5), rel=1e-8)
 
 
 class TestPsiEstimators:
     def test_identities_at_zero(self):
-        s = _sample(11, n=25, d=3)
-        b = psi_estimators(s, np.zeros(3))
-        np.testing.assert_allclose(b.psi1, 0.0, atol=1e-12)
-        np.testing.assert_allclose(b.psi2, np.eye(3), atol=1e-10)
-        assert b.psi3_plus == pytest.approx(3.0, abs=1e-10)
-        assert b.psi3_minus == pytest.approx(3.0, abs=1e-10)
+        for d, seed in ((1, 9), (2, 10), (3, 11)):
+            s = _sample(seed, n=25, d=d)
+            b = _sums(s, np.zeros(d))
+            assert b.z == pytest.approx(0.0, abs=1e-12)
+            np.testing.assert_allclose(b.psi1, 0.0, atol=1e-12)
+            np.testing.assert_allclose(b.psi2, np.eye(d), atol=1e-10)
+            assert b.psi3_plus == pytest.approx(d, abs=1e-10)
+            assert b.psi3_minus == pytest.approx(d, abs=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_direct_sums(self, d):
+        # every sum against a literal loop over the observations, at three frequencies at once
+        s = _sample(12 + d, n=18, d=d)
+        y = s.residuals
+        pts = make_rng(100 + d).normal(size=(3, d))
+        cp, z, psi1, psi2, psi3, psi4 = _trig_sums(y, pts)
+        for g, t in enumerate(pts):
+            csp = [np.cos(t @ yk) + np.sin(t @ yk) for yk in y]
+            csm = [np.cos(t @ yk) - np.sin(t @ yk) for yk in y]
+            r = [float(yk @ yk) for yk in y]
+            n2 = float(t @ t)
+            np.testing.assert_allclose(cp[g], csp, rtol=1e-12)
+            m = (d - n2) * np.exp(-0.5 * n2)
+            assert z[g] == pytest.approx(sum(c * rk for c, rk in zip(csp, r)) / 18 - m, rel=1e-12)
+            np.testing.assert_allclose(psi1[g], sum(c * yk for c, yk in zip(csp, y)) / 18, rtol=1e-12)
+            np.testing.assert_allclose(psi2[g], sum(c * np.outer(yk, yk) for c, yk in zip(csp, y)) / 18, rtol=1e-12)
+            assert psi3[g] == pytest.approx(sum(c * rk for c, rk in zip(csm, r)) / 18, rel=1e-12)
+            np.testing.assert_allclose(psi4[g], sum(c * rk * yk for c, rk, yk in zip(csm, r, y)) / 18, rtol=1e-12)
 
     def test_psi5_direct_sum(self):
         s = _sample(12, n=18, d=2)
         t = np.array([0.7, -0.2])
-        b = psi_estimators(s, t)
+        b = _sums(s, t)
         y = s.residuals
         r = np.einsum("ij,ij->i", y, y)
         proj = y @ t
@@ -118,7 +160,7 @@ class TestPsiEstimators:
         np.testing.assert_allclose(b.psi5, direct, rtol=1e-12)
 
     def test_symmetry(self):
-        b = psi_estimators(_sample(13, n=22, d=3), np.array([0.1, 0.5, -0.4]))
+        b = _sums(_sample(13, n=22, d=3), np.array([0.1, 0.5, -0.4]))
         np.testing.assert_allclose(b.psi2, b.psi2.T, atol=1e-12)
         np.testing.assert_allclose(b.psi5, b.psi5.T, atol=1e-12)
 
@@ -128,8 +170,8 @@ class TestPsiEstimators:
         x = rng.standard_normal((n, d))
         s = scaled_residuals(x)
         t = np.array([0.8, -0.5])
-        b = psi_estimators(s, t)
-        target = m_func(t, d)
+        b = _sums(s, t)
+        target = _m(t)
         r = np.einsum("ij,ij->i", x, x)
         proj = x @ t
         se = float(np.std((np.cos(proj) + np.sin(proj)) * r, ddof=1) / np.sqrt(n))
@@ -264,11 +306,11 @@ class TestPAggregates:
 
 
 def _l_matrix_from_psi(sample, s, t):
-    """The closed-form L^{i,j}(s,t) displays, assembled from PsiBundle sums."""
+    """The closed-form L^{i,j}(s,t) displays, assembled from the trigonometric sums."""
     y = sample.residuals
     n = sample.n
     r = np.einsum("ij,ij->i", y, y)
-    bs, bt = psi_estimators(sample, s), psi_estimators(sample, t)
+    bs, bt = _sums(sample, s), _sums(sample, t)
     proj_s, proj_t = y @ s, y @ t
     l = np.empty((4, 4))
     l[0, 0] = float(np.mean(r**2 * np.cos((t - s) @ y.T)) + np.mean(r**2 * np.sin((t + s) @ y.T)))
@@ -305,7 +347,7 @@ def _l_direct(sample, s, t):
     r = np.einsum("ij,ij->i", y, y)
 
     def v_parts(u):
-        b = psi_estimators(sample, u)
+        b = _sums(sample, u)
         proj = y @ u
         csp = np.cos(proj) + np.sin(proj)
         v1 = r * csp

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -60,13 +61,13 @@ def _kernel_matrix(u: np.ndarray, d: int) -> np.ndarray:
 class TestKernel:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_zero_at_origin(self, d):
-        assert kernel_K(np.zeros(d), np.zeros(d), d) == pytest.approx(0.0, abs=1e-12)
+        assert kernel_K(np.zeros(d), np.zeros(d)) == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetry(self):
         rng = make_rng(1)
         for d in (1, 2, 4):
             s, t = rng.normal(size=d), rng.normal(size=d)
-            assert kernel_K(s, t, d) == pytest.approx(kernel_K(t, s, d), rel=1e-12)
+            assert kernel_K(s, t) == pytest.approx(kernel_K(t, s), rel=1e-12)
 
     def test_matrix_matches_scalar(self):
         rng = make_rng(2)
@@ -75,7 +76,7 @@ class TestKernel:
         assert km.shape == (4, 4)
         for i in range(4):
             for j in range(4):
-                assert km[i, j] == pytest.approx(kernel_K(u[i], u[j], 3), rel=1e-10, abs=1e-12)
+                assert km[i, j] == pytest.approx(kernel_K(u[i], u[j]), rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_monte_carlo_cross_check(self, d):
@@ -89,7 +90,11 @@ class TestKernel:
             prod = (hs - hs.mean()) * (ht - ht.mean())
             emp = float(np.mean(prod))
             se = float(np.std(prod, ddof=1) / np.sqrt(draws))
-            assert abs(emp - kernel_K(s, t, d)) < 3.0 * se
+            assert abs(emp - kernel_K(s, t)) < 3.0 * se
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="^s and t must have the same length$"):
+            kernel_K(np.zeros(2), np.zeros(3))
 
     def test_h_is_centred(self):
         rng = make_rng(9)
@@ -134,6 +139,47 @@ class TestExpectedLimit:
         assert stabilized[1] == pytest.approx(stabilized[2], rel=1e-2)
         dominant = d * (d + 2.0) * np.pi ** (d / 2.0)
         assert stabilized[2] == pytest.approx(dominant, rel=1e-2)
+
+
+_PI_50 = "3.1415926535897932384626433832795028841971693993751"
+
+
+def _expected_limit_digits(d: int, a: float) -> Decimal:
+    # the closed form of expected_limit as the tests' first reference writes it, in 50 digits
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pi, d, a = Decimal(_PI_50), Decimal(d), Decimal(a)
+        h = d / 2
+
+        def c(j: int) -> Decimal:
+            return pi**h * d / (a + 1) ** (h + j)
+
+        return (
+            d * (d + 2) * ((pi / a) ** h - (pi / (a + 1)) ** h)
+            - c(4) * (d + 2) * (d + 4) * (d + 6) / 32
+            + c(3) * (d + 2) * (d + 3) * (d + 4) / 8
+            - c(2) * (d + 2) * (d**2 + 4 * d + 14) / 8
+            + c(1) * (2 - d) * (d + 2) / 2
+        )
+
+
+class TestExpectedLimitDigits:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_matches_many_digits(self, d):
+        # the two powers of the first term cancel at large a; the float form must not lose them
+        for a in (1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e12, 1e20, 1e30):
+            ref = _expected_limit_digits(d, a)
+            assert abs((Decimal(expected_limit(d, a)) - ref) / ref) <= Decimal("1e-12"), a
+
+    @pytest.mark.parametrize("d", [1, 5])
+    def test_mean_out_of_the_float_range_refused(self, d):
+        with pytest.raises(ValueError, match=rf"^the limit mean at d={d}, a=1e\+300 leaves the float range$"):
+            expected_limit(d, 1e300)
+
+    def test_large_a_law_served(self):
+        # the cancelling form was 9.4e-10 off the law's trace here, and the cell was refused
+        q = limit_quantile(5, 3e4, 0.05)
+        assert 0.0 < expected_limit(5, 3e4) * scaling_factor(5, 3e4) < q
 
 
 class TestMcNullSample:
@@ -502,8 +548,10 @@ class TestLimitLaw:
 
     @pytest.mark.parametrize("a", [1e-80, 1e300])
     def test_unresolved_law_refused(self, a):
+        # at 1e-80 the kernel overflows and the trace check refuses the law; at 1e300 the mean underflows
         cell = re.escape(f"d=3, a={a:g}")
-        with pytest.raises(ValueError, match=rf"^the limit law at {cell} is not resolved .* trace error nan"):
+        reason = "law at {} is not resolved .* trace error nan" if a < 1.0 else "mean at {} leaves the float range$"
+        with pytest.raises(ValueError, match="^the limit " + reason.format(cell)):
             limit_eigenvalues(3, a)
 
 
