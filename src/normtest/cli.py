@@ -23,7 +23,7 @@ from dataclasses import asdict
 from . import power as power_mod
 from .competitors import parse_competitor
 from .inference import check_delta0, check_z_alpha, confidence_interval, delta_estimate, validation_test
-from .nulldist import _check_cell, _pvalue, critical_value, limit_quantile, mc_null_sample
+from .nulldist import _check_cell, _check_limit_alpha, _pvalue, critical_value, limit_quantile, mc_null_sample
 from .samplers import parse_spec
 from .standardize import load_csv, scaled_residuals
 from .statistic import check_alpha, t_statistic
@@ -41,10 +41,10 @@ def _emit(args, text: str) -> None:
 
 
 def _table_cell(v) -> str:
-    """A float to 4 decimals, or in exponent form if nonzero and below 5e-5 or from 1e6 in magnitude."""
+    """A float to 4 decimals, or in exponent form if nonzero and below 1e-3 or from 1e6 in magnitude."""
     if not isinstance(v, float):
         return str(v)
-    return f"{v:.4e}" if v != 0.0 and not 5e-5 <= abs(v) < 1e6 else f"{v:.4f}"
+    return f"{v:.4e}" if v != 0.0 and not 1e-3 <= abs(v) < 1e6 else f"{v:.4f}"
 
 
 def _render_rows(fmt: str, rows: list[dict]) -> str:
@@ -156,6 +156,8 @@ def cmd_crit_table(args) -> int:
     cells = list(itertools.product(args.d, args.n, args.a))
     for d, n, a in cells:
         _check_cell(d, n, a)
+    if math.inf in args.n:
+        _check_limit_alpha(args.alpha)
     rows = []
     for d, n, a in cells:
         if math.isinf(n):

@@ -19,7 +19,6 @@ inverting its characteristic function with a stated error bound
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections.abc import Collection
@@ -117,8 +116,9 @@ def _rep(
 
     Replication i draws from the i-th generator only, and its draw is made
     before the next generator is taken, as :func:`parallel.map_replications`
-    requires.  The draws are stacked ``_DRAWS // (n d)`` at a time (at least
-    one), a budget in the size of the draws; the pairwise kernel splits a
+    requires.  The draws are written ``_DRAWS // (n d)`` at a time (at least
+    one), a budget in the size of the draws, into one stack, each generator
+    into its slice; the pairwise kernel splits a
     stack further under its own n^2 budget.  Each stack is whitened once if
     some column reads the residuals, and every column is evaluated on them
     (bcmr on the raw draws), so a column's values do not depend on the other
@@ -135,7 +135,9 @@ def _rep(
     # (an invalid operation) still warns, as nothing else reports it
     with np.errstate(over="ignore"):
         for lo in range(0, len(rngs), block):
-            xs = np.stack([_draw(alt, rng, n, d) for rng in itertools.islice(stream, block)])
+            xs = np.empty((min(block, len(rngs) - lo), n, d))
+            for x, rng in zip(xs, stream):
+                _draw(alt, rng, n, d, x)
             y = _whiten(xs)[0] if whiten else None
             for c, (column, row) in enumerate(zip(columns, rows)):
                 if row is None:
@@ -390,12 +392,29 @@ def limit_eigenvalues(d: int, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The inversion's error: at most _CDF_TOL / 2 for every x of the bracket, a
-# quarter of _CDF_TOL spent on the rule's step (aliasing) and a quarter on its
-# truncation, the rest left to roundoff; at most
-# _TERMS_MAX terms; the quantile is bisected to _QUANTILE_TOL relative.
+# quarter of _CDF_TOL spent on the rule's step (aliasing), _TRUNCATION_TOL on
+# its truncation and _TAIL_TOL on the first-order terms of the small
+# eigenvalues (the two together the other quarter), the rest left to roundoff;
+# at most _TERMS_MAX terms; the quantile is bisected to _QUANTILE_TOL relative.
+# An alpha or 1 - alpha below _ALPHA_MIN, where the CDF's error could be more
+# than 5e-4 of it, is refused.
 _CDF_TOL = 1e-10
+_TAIL_TOL = _CDF_TOL / 40
+_TRUNCATION_TOL = _CDF_TOL / 4 - _TAIL_TOL
 _TERMS_MAX = 2**22
 _QUANTILE_TOL = 1e-10
+_ALPHA_MIN = 1e3 * _CDF_TOL
+
+
+def _check_limit_alpha(alpha: float) -> float:
+    """Check that the inversion resolves ``alpha``: in (0, 1), neither it nor 1 - alpha below _ALPHA_MIN."""
+    alpha = check_alpha(alpha)
+    if min(alpha, 1.0 - alpha) < _ALPHA_MIN:
+        raise ValueError(
+            f"alpha={alpha:g} is beyond the limit law's inversion: alpha and 1 - alpha must be at least "
+            f"{_ALPHA_MIN:g}, 1e3 times its CDF tolerance {_CDF_TOL:g}"
+        )
+    return alpha
 
 
 def _chernoff(lam: np.ndarray, mult: np.ndarray, alpha: float) -> tuple[float, float, float]:
@@ -416,19 +435,40 @@ def _chernoff(lam: np.ndarray, mult: np.ndarray, alpha: float) -> tuple[float, f
     return lo, hi, tail
 
 
+def _phase(lam: np.ndarray, mult: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """beta(u) = (1/2) sum mult arctan(2 lam u) and log rho(u) = (1/4) sum mult log1p(4 lam^2 u^2)
+    over the eigenvalues ``lam``, _CHUNK values at a time."""
+    beta, log_rho = np.empty(u.size), np.empty(u.size)
+    rows = max(1, _CHUNK // max(lam.size, 1))
+    for lo in range(0, u.size, rows):
+        uk = u[lo : lo + rows, None]
+        beta[lo : lo + rows] = 0.5 * np.arctan(2.0 * lam * uk) @ mult
+        log_rho[lo : lo + rows] = 0.25 * np.log1p(4.0 * lam**2 * uk**2) @ mult
+    return beta, log_rho
+
+
 def _limit_cdf(lam: np.ndarray, mult: np.ndarray, lo: float, hi: float, tail: float, cell: str):
     """P(Q <= x) for Q = sum mult_i lam_i chi^2_1, within _CDF_TOL / 2 for lo <= x <= hi.
 
-    Imhof's integral F(x) = 1/2 - (1/pi) int_0^inf sin(beta(u) - u x) / (u rho(u)) du,
+    ``lam`` is in decreasing order.  Imhof's integral
+    F(x) = 1/2 - (1/pi) int_0^inf sin(beta(u) - u x) / (u rho(u)) du,
     beta(u) = (1/2) sum mult arctan(2 lam u), rho(u) = prod (1 + 4 lam^2 u^2)^{mult/4},
     by the midpoint rule of step 2 pi / T on its first K terms (Davies, 1973).
     The rule adds sum_j (-1)^j [F(x - jT) - P(Q > x + jT)] to F(x): T > 2 hi makes
     every F(x - jT) zero, and T >= ``tail`` bounds the rest by P(Q > lo + tail).
     The terms from K on, an Abel sum, are bounded by the total variation of
     phi(u) / u past u_K (phi the characteristic function of Q) over |sin(pi x / T)|, the bound on the partial sums of
-    e^{-i u_k x}; beyond U, the eigenvalues with 2 lam U >= 4 make |phi(u)|
-    decay at least like (U/u)^kappa, kappa half their multiplicity.  The
-    beta and rho of each term are computed once; each x then costs K sines.
+    e^{-i u_k x}; beyond U, the eigenvalues with 2 lam U >= 4 (the big ones) make |phi(u)|
+    decay at least like (U/u)^kappa, kappa half their multiplicity.
+
+    The eigenvalues of a tail enter to first order, u sum mult lam in beta and
+    u^2 sum mult lam^2 in log rho.  As x - arctan x <= x^3/3 and
+    y - log1p y <= y^2/2 for x, y >= 0, and |phi| <= |phi_big|, that moves the
+    result by at most sum_k |phi_big(u_k)| / (pi k) ((4/3) S3 u_k^3 + 2 S4 u_k^4),
+    S3 and S4 the tail's sums of mult lam^3 and mult lam^4; the tail is the
+    longest run of the smallest eigenvalues, none of them big, whose bound is
+    within _TAIL_TOL.  The beta and rho of each term are computed once; each x
+    then costs K sines.
     """
     period = max(tail, 2.0 * hi)
     step = 2.0 * math.pi / period
@@ -439,7 +479,7 @@ def _limit_cdf(lam: np.ndarray, mult: np.ndarray, lo: float, hi: float, tail: fl
         kappa = 0.5 * mult[big].sum()
         small = mult[~big] @ lam[~big]
         log_phi = -0.25 * mult @ np.log1p(4.0 * lam**2 * u_end**2) + 0.5 * kappa * math.log1p(1.0 / 16.0)
-        if step / (math.pi * sine) * math.exp(log_phi) * (1.0 / u_end + small / kappa) <= _CDF_TOL / 4.0:
+        if step / (math.pi * sine) * math.exp(log_phi) * (1.0 / u_end + small / kappa) <= _TRUNCATION_TOL:
             break
         u_end *= 1.25
     terms = math.ceil(u_end / step)
@@ -447,13 +487,17 @@ def _limit_cdf(lam: np.ndarray, mult: np.ndarray, lo: float, hi: float, tail: fl
         raise ValueError(f"inverting the limit law at {cell} needs {terms} terms, more than its budget of {_TERMS_MAX}")
     k = np.arange(terms) + 0.5
     u = k * step
-    beta, amp = np.empty(terms), np.empty(terms)
-    rows = max(1, _CHUNK // lam.size)
-    for lo_k in range(0, terms, rows):
-        uk = u[lo_k : lo_k + rows, None]
-        beta[lo_k : lo_k + rows] = 0.5 * np.arctan(2.0 * lam * uk) @ mult
-        amp[lo_k : lo_k + rows] = -0.25 * np.log1p(4.0 * lam**2 * uk**2) @ mult
-    amp = np.exp(amp) / (math.pi * k)
+    nbig = int(big.sum())  # lam decreases, so the big eigenvalues are its first nbig
+    beta, log_rho = _phase(lam[:nbig], mult[:nbig], u)
+    weight = np.exp(-log_rho) / (math.pi * k)  # |phi_big(u_k)| / (pi k)
+    s3 = np.cumsum((mult * lam**3)[::-1])[::-1]  # the sums over lam[i:]
+    s4 = np.cumsum((mult * lam**4)[::-1])[::-1]
+    bound = np.append(4.0 / 3.0 * s3 * (weight @ u**3) + 2.0 * s4 * (weight @ u**4), 0.0)  # the last folds none
+    head = max(nbig, int(np.argmax(bound <= _TAIL_TOL)))
+    b, r = _phase(lam[nbig:head], mult[nbig:head], u)
+    beta += b + u * (mult[head:] @ lam[head:])
+    log_rho += r + u**2 * (mult[head:] @ lam[head:] ** 2)
+    amp = np.exp(-log_rho) / (math.pi * k)
     return lambda x: 0.5 - float(np.sin(beta - u * x) @ amp)
 
 
@@ -473,10 +517,11 @@ def limit_quantile(d: int, a: float, alpha: float, config: LimitSamplerConfig | 
 
     The eigenvalues come from :func:`limit_eigenvalues`, the CDF from
     :func:`_limit_cdf` within _CDF_TOL / 2 on a Chernoff bracket of the quantile,
-    which is bisected to _QUANTILE_TOL relative.  Nothing is simulated, so
-    the value is deterministic; ``config`` is ignored (ROADMAP item 1).
+    which is bisected to _QUANTILE_TOL relative.  An alpha or 1 - alpha below
+    _ALPHA_MIN is refused.  Nothing is simulated, so the value is
+    deterministic; ``config`` is ignored (ROADMAP item 1).
     """
-    alpha = check_alpha(alpha)
+    alpha = _check_limit_alpha(alpha)
     lam, mult = limit_eigenvalues(d, a)
     lo, hi, tail = _chernoff(lam, mult, alpha)
     cdf = _limit_cdf(lam, mult, lo, hi, tail, f"d={d}, a={a:g}")

@@ -156,8 +156,15 @@ def _real(x) -> bool:
     return -math.inf < x < math.inf
 
 
-def _draw(spec: AlternativeSpec, rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    return _TABLE[spec.kind].draw(rng, n, d, spec)
+def _draw(spec: AlternativeSpec, rng: np.random.Generator, n: int, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """One (n, d) draw from ``spec``, written into ``out`` if one is given.  The
+    null fills ``out`` in place, in the order of a fresh (n, d) draw."""
+    if out is None:
+        return _TABLE[spec.kind].draw(rng, n, d, spec)
+    if spec.kind == "std":
+        return rng.standard_normal(out=out)
+    out[...] = _TABLE[spec.kind].draw(rng, n, d, spec)
+    return out
 
 
 def _mt(rng, n, d, spec):

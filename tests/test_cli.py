@@ -96,9 +96,10 @@ class TestTestCommand:
         assert "p_value" in out and "statistic" in out
 
     def test_table_prints_small_and_huge_floats_in_exponent_form(self):
-        text = cli._render_rows("table", [{"x": v} for v in (1e-5, 1 / 100001, 5e-5, 0.0, 0.5, 999999.9, 1e200)])
-        assert text.split() == ["x", "1.0000e-05", "9.9999e-06", "0.0001", "0.0000", "0.5000", "999999.9000",
-                                "1.0000e+200"]
+        values = (1e-5, 1 / 100001, 5e-5, 1.0329754167015873e-4, 1e-3, 0.0, 0.5, 999999.9, 1e200)
+        text = cli._render_rows("table", [{"x": v} for v in values])
+        assert text.split() == ["x", "1.0000e-05", "9.9999e-06", "5.0000e-05", "1.0330e-04", "0.0010", "0.0000",
+                                "0.5000", "999999.9000", "1.0000e+200"]
 
     @pytest.mark.parametrize("command", [
         ["test", "--input", str(IRIS), "--header", "--a", "1", "--reps", "3000"],
@@ -192,6 +193,13 @@ class TestCritTable:
         assert [[str(row[k]) for k in header.split(",")] for row in rows] == [line.split(",") for line in lines]
         assert main([*argv, "table"]) == 0
         assert capsys.readouterr().out.split("\n")[0].split() == header.split(",")
+
+    def test_alpha_beyond_the_inversion_refused_before_any_simulation(self, capsys):
+        # one line naming the floor, before the n = 20 cell's progress line
+        argv = ["crit-table", "--d", "1", "--n", "20", "--n", "inf", "--a", "1", "--alpha", "1e-12", "--workers", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: alpha=1e-12 is beyond the limit law's inversion: alpha and "
+                                           "1 - alpha must be at least 1e-07, 1e3 times its CDF tolerance 1e-10\n")
 
     def test_inf_row_defaults_its_limit_flags(self, monkeypatch):
         # an n = inf row asks the limit law for its cell and --alpha, and for nothing else

@@ -529,15 +529,48 @@ class TestLimitLaw:
         monkeypatch.setattr(nulldist, "limit_eigenvalues", lambda d, a: (lam, mult))
         assert limit_quantile(1, 1.0, 0.05) == pytest.approx(lam[0] * chi2.ppf(0.95, mult[0]), rel=1e-9)
 
-    @pytest.mark.parametrize("big,small", [(1.0, 0.5), (1.0, 1e-3)])
-    def test_inversion_of_two_exponentials(self, big, small):
+    @pytest.mark.parametrize("big,small", [(1.0, 0.5), (1.0, 1e-3), (1.0, 1e-6), (1.0, 1e-9)])
+    def test_inversion_of_two_exponentials(self, monkeypatch, big, small):
         # big chi2_2 + small chi2_2 is a sum of exponentials of means 2 big and 2 small
         lam, mult = np.array([big, small]), np.array([2, 2])
         exact = lambda x: 1.0 - (big * np.exp(-x / (2 * big)) - small * np.exp(-x / (2 * small))) / (big - small)
         lo, hi, tail = nulldist._chernoff(lam, mult, 0.05)
+        phase, sizes = nulldist._phase, []
+        monkeypatch.setattr(nulldist, "_phase", lambda lam, *rest: sizes.append(lam.size) or phase(lam, *rest))
         cdf = nulldist._limit_cdf(lam, mult, lo, hi, tail, "test")
+        # 1e-9 is left to the first-order tail; 1e-6's bound, 3e-9, is over the tail's share
+        assert sum(sizes) == (1 if small == 1e-9 else 2)
         for x in np.linspace(lo, hi, 7):
             assert cdf(x) == pytest.approx(exact(x), abs=1e-10)
+
+    @pytest.mark.parametrize("d,a,expect", [(1, 1.0, 1.7601021647), (2, 3.0, 0.5988697190), (5, 0.1, 1.4172286464)])
+    def test_tail_fold_within_its_share(self, monkeypatch, d, a, expect):
+        # the first-order tail moves the CDF by at most _TAIL_TOL from the pass with every term exact
+        lam, mult = limit_eigenvalues(d, a)
+        lo, hi, tail = nulldist._chernoff(lam, mult, 0.05)
+        phase, exact = nulldist._phase, []
+        monkeypatch.setattr(nulldist, "_phase", lambda lam, *rest: exact.append(lam.size) or phase(lam, *rest))
+        folded, share, head = nulldist._limit_cdf(lam, mult, lo, hi, tail, "test"), nulldist._TAIL_TOL, len(exact)
+        assert sum(exact) < lam.size // 2
+        monkeypatch.setattr(nulldist, "_TAIL_TOL", 0.0)
+        full = nulldist._limit_cdf(lam, mult, lo, hi, tail, "test")
+        assert sum(exact[head:]) == lam.size
+        for x in np.linspace(lo, hi, 7):
+            assert folded(x) == pytest.approx(full(x), abs=share)
+        monkeypatch.undo()
+        assert limit_quantile(d, a, 0.05) == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("alpha", [nulldist._ALPHA_MIN, 1.0 - 1e-6])  # 1 - 1e-7 needs 8e6 terms
+    def test_alpha_at_the_floor_served_and_below_refused(self, monkeypatch, alpha):
+        # the CDF is exact to 5e-11, so an alpha or 1 - alpha under 1e3 * _CDF_TOL = 1e-7 is refused
+        from scipy.stats import chi2
+
+        monkeypatch.setattr(nulldist, "limit_eigenvalues", lambda d, a: (np.array([1.0]), np.array([3])))
+        assert chi2.cdf(limit_quantile(1, 1.0, alpha), 3) == pytest.approx(1.0 - alpha, abs=1e-10)
+        message = "is beyond the limit law's inversion: alpha and 1 - alpha must be at least 1e-07, "
+        for refused in (9.9e-8, 1e-14, 1e-300, 1.0 - 9.9e-8):
+            with pytest.raises(ValueError, match=f"^alpha={refused:g} " + re.escape(message)):
+                limit_quantile(1, 1.0, refused)
 
     def test_small_a_matches_the_extrapolated_null(self):
         # the sampler gave 1.4908 here, about mean * (1 + 1.645 sqrt(2/m)) for its m = 1000 points;
