@@ -169,7 +169,7 @@ def cmd_crit_table(args) -> int:
                 checkpoint=args.checkpoint, progress=True,
             )
             reps = args.reps
-        _progress(f"d={d} n={n} a={a:g}: quantile {q:.4f}")
+        _progress(f"d={d} n={n} a={a:g}: quantile {_table_cell(q)}")
         rows.append({"d": d, "n": "inf" if math.isinf(n) else n, "a": a, "alpha": args.alpha, "quantile": q,
                      "replications": reps, "seed": args.seed})
     _emit(args, _render_rows(args.format, rows))
@@ -251,7 +251,7 @@ def cmd_limit_quantile(args) -> int:
     for d, a in itertools.product(args.d, args.a):
         q = limit_quantile(d, a, args.alpha)
         rows.append({"d": d, "a": a, "alpha": args.alpha, "quantile": q})
-        _progress(f"d={d} a={a:g}: limit quantile {q:.4f}")
+        _progress(f"d={d} a={a:g}: limit quantile {_table_cell(q)}")
     _emit(args, _render_rows(args.format, rows))
     return 0
 

@@ -12,9 +12,9 @@ divided by d^2.  K and that measure are rotation invariant, so by Funk-Hecke
 the operator splits by spherical-harmonic degree l: degree l contributes the
 eigenvalues of one radial matrix, each with the multiplicity of the degree-l
 harmonics (:func:`limit_eigenvalues`).  The quantile of the law comes from
-inverting its characteristic function with a stated error bound
-(:func:`limit_quantile`; Imhof, Biometrika 48, 1961; Davies, Biometrika 60,
-1973).
+inverting its moment generating function on a hyperbolic contour with a
+stated error bound (:func:`limit_quantile`; Weideman and Trefethen, Math.
+Comp. 76, 2007; Trefethen and Weideman, SIAM Review 56, 2014).
 """
 
 from __future__ import annotations
@@ -391,17 +391,16 @@ def limit_eigenvalues(d: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return lam[keep], mult[keep]
 
 
-# The inversion's error: at most _CDF_TOL / 2 for every x of the bracket, a
-# quarter of _CDF_TOL spent on the rule's step (aliasing), _TRUNCATION_TOL on
-# its truncation and _TAIL_TOL on the first-order terms of the small
-# eigenvalues (the two together the other quarter), the rest left to roundoff;
-# at most _TERMS_MAX terms; the quantile is bisected to _QUANTILE_TOL relative.
-# An alpha or 1 - alpha below _ALPHA_MIN, where the CDF's error could be more
-# than 5e-4 of it, is refused.
+# The inversion's error: at most _CDF_TOL / 2 for every x from the bracket's lower end on,
+# _CDF_TOL / 8 on the trapezoidal rule's step, _CDF_TOL / 8 on its truncation and _TAIL_TOL on
+# the fold of the small eigenvalues, the rest left to roundoff.  The rule runs on the hyperbola
+# of angle _ANGLE, its step bounded on the strip |Im theta| < _STRIP, whose edges' angles (0.15,
+# 0.75) keep Re s^2 falling along them; the quantile is bisected to _QUANTILE_TOL relative.  An
+# alpha or 1 - alpha below _ALPHA_MIN, where the CDF's error could be more than 5e-4 of it, is refused.
 _CDF_TOL = 1e-10
 _TAIL_TOL = _CDF_TOL / 40
-_TRUNCATION_TOL = _CDF_TOL / 4 - _TAIL_TOL
-_TERMS_MAX = 2**22
+_ANGLE = 0.45
+_STRIP = 0.3
 _QUANTILE_TOL = 1e-10
 _ALPHA_MIN = 1e3 * _CDF_TOL
 
@@ -418,9 +417,9 @@ def _check_limit_alpha(alpha: float) -> float:
 
 
 def _chernoff(lam: np.ndarray, mult: np.ndarray, alpha: float) -> tuple[float, float, float]:
-    """Chernoff bounds of Q = sum mult_i lam_i chi^2_1: ``(lo, hi, tail)`` with
+    """Chernoff bounds of Q = sum mult_i lam_i chi^2_1: ``(lo, hi, c)`` with
     P(Q <= lo) <= 1 - alpha and P(Q > hi) <= alpha, so that lo <= the
-    (1-alpha) quantile <= hi, and P(Q > lo + tail) <= _CDF_TOL / 4.
+    (1-alpha) quantile <= hi, and c the t that gives hi.
     Any t gives a bound; each is taken at the best of a grid of t."""
     f = np.concatenate([np.geomspace(1e-6, 0.5, 64), 1.0 - np.geomspace(1e-9, 0.5, 64)])
     t = f / (2.0 * lam[0])  # P(Q > y) <= exp(cgf(t) - t y), 0 < t < 1 / (2 lam_max)
@@ -428,77 +427,77 @@ def _chernoff(lam: np.ndarray, mult: np.ndarray, alpha: float) -> tuple[float, f
     s = np.geomspace(1e-6, 1e12, 64) / (2.0 * lam[0])  # P(Q <= y) <= exp(s y + lt(s)), s > 0
     lt = -0.5 * np.log1p(2.0 * np.multiply.outer(s, lam)) @ mult
     lo = float(np.max((math.log1p(-alpha) - lt) / s))
-    hi = float(np.min((cgf - math.log(alpha)) / t))
-    tail = float(np.min((cgf - math.log(_CDF_TOL / 4.0)) / t)) - lo
+    upper = (cgf - math.log(alpha)) / t
     if not lo > 0.0:
         raise ValueError(f"alpha={alpha:g} is too close to 1 for the limit law's inversion")
-    return lo, hi, tail
+    return lo, float(upper.min()), float(t[upper.argmin()])
 
 
-def _phase(lam: np.ndarray, mult: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """beta(u) = (1/2) sum mult arctan(2 lam u) and log rho(u) = (1/4) sum mult log1p(4 lam^2 u^2)
-    over the eigenvalues ``lam``, _CHUNK values at a time."""
-    beta, log_rho = np.empty(u.size), np.empty(u.size)
-    rows = max(1, _CHUNK // max(lam.size, 1))
-    for lo in range(0, u.size, rows):
-        uk = u[lo : lo + rows, None]
-        beta[lo : lo + rows] = 0.5 * np.arctan(2.0 * lam * uk) @ mult
-        log_rho[lo : lo + rows] = 0.25 * np.log1p(4.0 * lam**2 * uk**2) @ mult
-    return beta, log_rho
+def _log_mgf(lam: np.ndarray, mult: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """log E e^{sQ} = -(1/2) sum mult log(1 - z), z = 2 lam s, as -sum mult artanh(z / (z - 2)), exact at small z."""
+    z = 2.0 * np.multiply.outer(s, lam)
+    return -np.arctanh(z / (z - 2.0)) @ mult
 
 
-def _limit_cdf(lam: np.ndarray, mult: np.ndarray, lo: float, hi: float, tail: float, cell: str):
-    """P(Q <= x) for Q = sum mult_i lam_i chi^2_1, within _CDF_TOL / 2 for lo <= x <= hi.
+def _limit_cdf(lam: np.ndarray, mult: np.ndarray, lo: float, c: float):
+    """P(Q <= x) for Q = sum mult_i lam_i chi^2_1 at every x >= lo > 0, within _CDF_TOL / 2 and
+    the roundoff of a sum of scale M(c) e^{-cx}.
 
-    ``lam`` is in decreasing order.  Imhof's integral
-    F(x) = 1/2 - (1/pi) int_0^inf sin(beta(u) - u x) / (u rho(u)) du,
-    beta(u) = (1/2) sum mult arctan(2 lam u), rho(u) = prod (1 + 4 lam^2 u^2)^{mult/4},
-    by the midpoint rule of step 2 pi / T on its first K terms (Davies, 1973).
-    The rule adds sum_j (-1)^j [F(x - jT) - P(Q > x + jT)] to F(x): T > 2 hi makes
-    every F(x - jT) zero, and T >= ``tail`` bounds the rest by P(Q > lo + tail).
-    The terms from K on, an Abel sum, are bounded by the total variation of
-    phi(u) / u past u_K (phi the characteristic function of Q) over |sin(pi x / T)|, the bound on the partial sums of
-    e^{-i u_k x}; beyond U, the eigenvalues with 2 lam U >= 4 (the big ones) make |phi(u)|
-    decay at least like (U/u)^kappa, kappa half their multiplicity.
+    ``lam`` decreases and 0 < c < p = 1 / (2 lam_1).  M(s) is analytic off the cut [p, inf),
+    so P(Q > x) = (1/2pi) int f, f = M(s) e^{-sx} s' / (i s) = conj f(-theta), along the
+    hyperbola s(theta) = c + mu (sin(_ANGLE + i theta) - sin _ANGLE), mu = min(c, p - c),
+    which passes between 0 and the cut; the rule of step h is (h/pi) Re(f(0)/2 + sum_{k=1}^N f(kh)).
+    At Im theta = -eta it is the hyperbola of angle beta = _ANGLE + eta and vertex
+    c + mu (sin beta - sin _ANGLE) in (0, p), so f is analytic for -(pi/2 - _ANGLE) < Im theta < _ANGLE.
 
-    The eigenvalues of a tail enter to first order, u sum mult lam in beta and
-    u^2 sum mult lam^2 in log rho.  As x - arctan x <= x^3/3 and
-    y - log1p y <= y^2/2 for x, y >= 0, and |phi| <= |phi_big|, that moves the
-    result by at most sum_k |phi_big(u_k)| / (pi k) ((4/3) S3 u_k^3 + 2 S4 u_k^4),
-    S3 and S4 the tail's sums of mult lam^3 and mult lam^4; the tail is the
-    longest run of the smallest eigenvalues, none of them big, whose bound is
-    within _TAIL_TOL.  The beta and rho of each term are computed once; each x
-    then costs K sines.
+    - Step: at most (B+ + B-) / (2pi (e^{2pi _STRIP / h} - 1)), B+- = int |f| at Im theta = +-_STRIP,
+      twice that over theta >= 0 (Trefethen and Weideman 2014, Thm 5.1); h makes it _CDF_TOL / 8.
+    - Truncation: (h/pi) sum_{k>N} |f(kh)|; N is the first whose bound is within _CDF_TOL / 8.
+    - Fold: lam[head:] enter as s S1 + s^2 S2, S_j their sums of mult lam^j.  As |log(1 - z) + z
+      + z^2/2| <= |z|^3 / (3 (1 - |z|)), |z| = 2 lam |s| <= 1/2 at a node moves log M by at most
+      R = (8/3) S3 |s|^3 <= 1 and f by |f| (e^R - 1) <= 2R |f|; head is the first index at which
+      these sum to at most _TAIL_TOL.
+
+    |f| is bounded at x = lo, so for all x >= lo as Re s > 0.  On a hyperbola of angle beta in
+    (0, pi/2) and vertex v, sigma = Re s, tau = |Im s| and r = |s| grow with |theta|, and
+    tau >= cot beta (sigma - v) keeps s (1/(2 lam) - v) cos beta from 1/(2 lam).  So a factor
+    |1 - 2 lam s|^{-m/2} of |M| is at most (cone) (cos beta (1 - 2 lam v))^{-m/2}, or, over
+    [theta_j, theta_{j+1}] if 2 lam r_{j+1} <= 1/2, (fold) exp(m lam sigma + m lam^2 (sigma^2 -
+    tau^2) + (8/3) m lam^3 r_{j+1}^3).  (S1 - x) sigma + S2 sigma^2 is convex, so largest at an
+    end, and |s'| / |s| <= mu |cos(beta + i theta_{j+1})| / r_j.  Past the grid every factor
+    takes the cone, |s'| / |s| <= |s'| / tau falls and sigma grows at least at its end slope.
     """
-    period = max(tail, 2.0 * hi)
-    step = 2.0 * math.pi / period
-    sine = min(math.sin(math.pi * lo / period), math.sin(math.pi * hi / period))
-    u_end = 2.5 / lam[0]  # past 4 / (2 lam_max), so that lam_max is among the big ones
-    while True:
-        big = 2.0 * lam * u_end >= 4.0
-        kappa = 0.5 * mult[big].sum()
-        small = mult[~big] @ lam[~big]
-        log_phi = -0.25 * mult @ np.log1p(4.0 * lam**2 * u_end**2) + 0.5 * kappa * math.log1p(1.0 / 16.0)
-        if step / (math.pi * sine) * math.exp(log_phi) * (1.0 / u_end + small / kappa) <= _TRUNCATION_TOL:
-            break
-        u_end *= 1.25
-    terms = math.ceil(u_end / step)
-    if terms > _TERMS_MAX:
-        raise ValueError(f"inverting the limit law at {cell} needs {terms} terms, more than its budget of {_TERMS_MAX}")
-    k = np.arange(terms) + 0.5
-    u = k * step
-    nbig = int(big.sum())  # lam decreases, so the big eigenvalues are its first nbig
-    beta, log_rho = _phase(lam[:nbig], mult[:nbig], u)
-    weight = np.exp(-log_rho) / (math.pi * k)  # |phi_big(u_k)| / (pi k)
-    s3 = np.cumsum((mult * lam**3)[::-1])[::-1]  # the sums over lam[i:]
-    s4 = np.cumsum((mult * lam**4)[::-1])[::-1]
-    bound = np.append(4.0 / 3.0 * s3 * (weight @ u**3) + 2.0 * s4 * (weight @ u**4), 0.0)  # the last folds none
-    head = max(nbig, int(np.argmax(bound <= _TAIL_TOL)))
-    b, r = _phase(lam[nbig:head], mult[nbig:head], u)
-    beta += b + u * (mult[head:] @ lam[head:])
-    log_rho += r + u**2 * (mult[head:] @ lam[head:] ** 2)
-    amp = np.exp(-log_rho) / (math.pi * k)
-    return lambda x: 0.5 - float(np.sin(beta - u * x) @ amp)
+    mu = min(c, 0.5 / lam[0] - c)
+    m1, m2, m3 = (np.append(np.cumsum((mult * lam**j)[::-1])[::-1], 0.0) for j in (1, 2, 3))  # over lam[k:]
+    eps = _CDF_TOL / 8.0
+
+    def bound(beta: float, step: float):
+        """s and s' / i at theta_j = j step on the hyperbola of angle beta up to theta_J, and the logs of
+        step sup |f| over [theta_j, theta_{j+1}], j < J, and of step |f(theta_J)| + int_{theta_J}^inf |f|."""
+        v = c + mu * (math.sin(beta) - math.sin(_ANGLE))
+        cone = 0.5 * np.append(0.0, np.cumsum(mult * -np.log(math.cos(beta) * (1.0 - 2.0 * lam * v))))  # over lam[:k]
+        rise = lo * mu * math.sin(beta)  # sigma x = v x + rise (cosh theta - 1)
+        end = math.acosh(1.0 + (cone[-1] - 2.0 * math.log(eps)) / rise)  # the bound past it is about eps^2
+        theta = np.arange(math.ceil(end / step) + 1) * step
+        s = c + mu * (np.sin(beta + 1j * theta) - math.sin(_ANGLE))
+        dz = mu * np.cos(beta + 1j * theta)  # s' / i
+        sig, tau, r, ds = s.real, np.abs(s.imag), np.abs(s), np.abs(dz)
+        k = np.searchsorted(-lam, -0.25 / r[1:])  # the cone for lam[:k], the fold for lam[k:]
+        log_m = cone[k] + np.maximum(*((m1[k] - lo) * e + m2[k] * e**2 for e in (sig[:-1], sig[1:])))
+        log_m += 8.0 / 3.0 * m3[k] * r[1:] ** 3 - m2[k] * tau[:-1] ** 2
+        far = cone[-1] - sig[-1] * lo + math.log(ds[-1] / tau[-1] * (step + 1.0 / (rise * math.sinh(theta[-1]))))
+        return s, dz, np.append(log_m + np.log(step * ds[1:] / r[:-1]), far)
+
+    edges = np.logaddexp.reduce(np.concatenate([bound(_ANGLE + eta, _STRIP / 4.0)[2] for eta in (-_STRIP, _STRIP)]))
+    h = 2.0 * math.pi * _STRIP / np.logaddexp(0.0, edges - math.log(math.pi * eps))
+    s, dz, log_sup = bound(_ANGLE, h)
+    tail = np.logaddexp.accumulate(log_sup[::-1])[::-1]  # the log of the sum of log_sup[k:]
+    n = int(np.argmax(tail[1:] <= math.log(math.pi * eps)))
+    s, dz, w = s[: n + 1], dz[: n + 1], np.append(0.5, np.ones(n))
+    r, fold = abs(s[-1]), 16.0 / (3.0 * math.pi) * (w * np.exp(log_sup[: n + 1]) * np.abs(s) ** 3).sum()
+    head = int(np.argmax((np.append(lam, 0.0) * r <= 0.25) & (8.0 / 3.0 * m3 * r**3 <= 1.0) & (m3 * fold <= _TAIL_TOL)))
+    log_f = _log_mgf(lam[:head], mult[:head], s) + m1[head] * s + m2[head] * s**2 + np.log(dz / s)
+    return lambda x: 1.0 - h / math.pi * float(w @ np.exp(log_f - s * x).real)
 
 
 # A shim for callers of the deleted sampler; delete it with ROADMAP item 1.
@@ -523,8 +522,8 @@ def limit_quantile(d: int, a: float, alpha: float, config: LimitSamplerConfig | 
     """
     alpha = _check_limit_alpha(alpha)
     lam, mult = limit_eigenvalues(d, a)
-    lo, hi, tail = _chernoff(lam, mult, alpha)
-    cdf = _limit_cdf(lam, mult, lo, hi, tail, f"d={d}, a={a:g}")
+    lo, hi, c = _chernoff(lam, mult, alpha)
+    cdf = _limit_cdf(lam, mult, lo, c)
     while hi - lo > _QUANTILE_TOL * hi:
         mid = 0.5 * (lo + hi)
         if cdf(mid) < 1.0 - alpha:

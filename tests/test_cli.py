@@ -172,6 +172,18 @@ class TestCritTable:
             f"1,inf,1.0,0.05,{q!r},0,7",
         ]
 
+    def test_inf_row_where_one_eigenvalue_dominates(self, capsys):
+        # d = 1 at large a: the exact law is served, one row
+        assert main(["crit-table", "--d", "1", "--n", "inf", "--a", "1000", "--format", "csv"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "d,n,a,alpha,quantile,replications,seed" and len(rows) == 1
+
+    def test_progress_line_keeps_a_small_quantile(self, monkeypatch, capsys):
+        # the stderr line formats the quantile as the table row does
+        monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha: 1.033e-4)
+        assert main(["crit-table", "--d", "1", "--n", "inf", "--a", "1"]) == 0
+        assert capsys.readouterr().err == "d=1 n=inf a=1: quantile 1.0330e-04\n"
+
     def test_inf_row_reports_the_sampler_draws(self, monkeypatch, capsys):
         # an n = inf row simulates nothing: it reports 0 replications, and --reps plays no part in it
         monkeypatch.setattr(cli, "limit_quantile", lambda d, a, alpha: 1.5)
@@ -480,6 +492,13 @@ class TestLimitQuantileCommand:
         with pytest.raises(SystemExit):
             main(["limit-quantile", "--help"])
         assert re.search(r"--(m|ell|seed)\b", capsys.readouterr().out) is None
+
+    def test_progress_line_keeps_a_small_quantile(self, capsys):
+        # the stderr line formats the quantile as the table row does, not as 0.0001
+        assert main(["limit-quantile", "--d", "5", "--a", "3e4"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "d=5 a=30000: limit quantile 1.0330e-04\n"
+        assert out.splitlines()[1].split()[-1] == "1.0330e-04"
 
     def test_unresolved_law_is_one_error_line(self, capsys):
         # at a = 1e-80 the kernel overflows: one refusal naming the cell, no numpy warning

@@ -522,8 +522,8 @@ class TestLimitLaw:
 
         lam, mult = np.array(lam), np.array(mult)
         for alpha in (0.5, 0.05, 1e-6):
-            lo, hi, tail = nulldist._chernoff(lam, mult, alpha)
-            cdf = nulldist._limit_cdf(lam, mult, lo, hi, tail, "test")
+            lo, hi, c = nulldist._chernoff(lam, mult, alpha)
+            cdf = nulldist._limit_cdf(lam, mult, lo, c)
             for x in np.linspace(lo, hi, 5):
                 assert cdf(x) == pytest.approx(chi2.cdf(x / lam[0], mult[0]), abs=1e-10)
         monkeypatch.setattr(nulldist, "limit_eigenvalues", lambda d, a: (lam, mult))
@@ -534,33 +534,33 @@ class TestLimitLaw:
         # big chi2_2 + small chi2_2 is a sum of exponentials of means 2 big and 2 small
         lam, mult = np.array([big, small]), np.array([2, 2])
         exact = lambda x: 1.0 - (big * np.exp(-x / (2 * big)) - small * np.exp(-x / (2 * small))) / (big - small)
-        lo, hi, tail = nulldist._chernoff(lam, mult, 0.05)
-        phase, sizes = nulldist._phase, []
-        monkeypatch.setattr(nulldist, "_phase", lambda lam, *rest: sizes.append(lam.size) or phase(lam, *rest))
-        cdf = nulldist._limit_cdf(lam, mult, lo, hi, tail, "test")
-        # 1e-9 is left to the first-order tail; 1e-6's bound, 3e-9, is over the tail's share
-        assert sum(sizes) == (1 if small == 1e-9 else 2)
+        lo, hi, c = nulldist._chernoff(lam, mult, 0.05)
+        log_mgf, sizes = nulldist._log_mgf, []
+        monkeypatch.setattr(nulldist, "_log_mgf", lambda lam, *rest: sizes.append(lam.size) or log_mgf(lam, *rest))
+        cdf = nulldist._limit_cdf(lam, mult, lo, c)
+        # 1e-6 and 1e-9 are left to the fold; 1e-3's bound is over the fold's share
+        assert sum(sizes) == (2 if small >= 1e-3 else 1)
         for x in np.linspace(lo, hi, 7):
             assert cdf(x) == pytest.approx(exact(x), abs=1e-10)
 
     @pytest.mark.parametrize("d,a,expect", [(1, 1.0, 1.7601021647), (2, 3.0, 0.5988697190), (5, 0.1, 1.4172286464)])
     def test_tail_fold_within_its_share(self, monkeypatch, d, a, expect):
-        # the first-order tail moves the CDF by at most _TAIL_TOL from the pass with every term exact
+        # the fold moves the CDF by at most _TAIL_TOL from the pass with every eigenvalue exact
         lam, mult = limit_eigenvalues(d, a)
-        lo, hi, tail = nulldist._chernoff(lam, mult, 0.05)
-        phase, exact = nulldist._phase, []
-        monkeypatch.setattr(nulldist, "_phase", lambda lam, *rest: exact.append(lam.size) or phase(lam, *rest))
-        folded, share, head = nulldist._limit_cdf(lam, mult, lo, hi, tail, "test"), nulldist._TAIL_TOL, len(exact)
+        lo, hi, c = nulldist._chernoff(lam, mult, 0.05)
+        log_mgf, exact = nulldist._log_mgf, []
+        monkeypatch.setattr(nulldist, "_log_mgf", lambda lam, *rest: exact.append(lam.size) or log_mgf(lam, *rest))
+        folded, share, head = nulldist._limit_cdf(lam, mult, lo, c), nulldist._TAIL_TOL, len(exact)
         assert sum(exact) < lam.size // 2
         monkeypatch.setattr(nulldist, "_TAIL_TOL", 0.0)
-        full = nulldist._limit_cdf(lam, mult, lo, hi, tail, "test")
+        full = nulldist._limit_cdf(lam, mult, lo, c)
         assert sum(exact[head:]) == lam.size
         for x in np.linspace(lo, hi, 7):
             assert folded(x) == pytest.approx(full(x), abs=share)
         monkeypatch.undo()
         assert limit_quantile(d, a, 0.05) == pytest.approx(expect, rel=1e-9)
 
-    @pytest.mark.parametrize("alpha", [nulldist._ALPHA_MIN, 1.0 - 1e-6])  # 1 - 1e-7 needs 8e6 terms
+    @pytest.mark.parametrize("alpha", [nulldist._ALPHA_MIN, 1.0 - 1e-6, 1.0 - 1.1e-7])  # 1.0 - 1e-7 rounds below the floor
     def test_alpha_at_the_floor_served_and_below_refused(self, monkeypatch, alpha):
         # the CDF is exact to 5e-11, so an alpha or 1 - alpha under 1e3 * _CDF_TOL = 1e-7 is refused
         from scipy.stats import chi2
@@ -615,6 +615,8 @@ class TestLimitQuantile:
             (2, 1.0, 60, 4000, 42),
             (3, 0.5, 300, 20_000, 7),  # no Gauss-Hermite oracle converges at d = 3
             (1, 1.0, 2, 500, 1),
+            (1, 1e3, 1000, 20_000, 3),  # one eigenvalue dominates
+            (1, 1e5, 1000, 20_000, 4),
         ],
     )
     def test_matches_gemm_oracle(self, d, a, m, ell, seed):
